@@ -295,8 +295,8 @@ def verify_gns(space: GnsSpace, samples: int, rng) -> dict:
 
     Covers the scalar-product identity, *-homomorphism property of the
     representation, and the cyclic-expectation identity.  All residuals
-    are hard-thresholded by the caller (CLI exits nonzero above 1e-10 on
-    the expectation identity).
+    are hard-thresholded by the caller (the CLI's ``gns-check`` exits
+    nonzero when any exceeds 1e-10).
     """
     n = space.algebra.dimension
 

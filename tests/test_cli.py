@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from contextqm import cli
 from contextqm.cli import main
 
 
@@ -145,6 +146,23 @@ class TestGreen:
         result = runner.invoke(main, ["green", "--n", "14"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "2", "--times", "a,b"],
+            ["--n", "4", "--cutoff", "3"],
+            ["--n", "2", "--times", "nan,0"],
+            ["--n", "2", "--omega", "inf"],
+        ],
+        ids=["unparsable-times", "cutoff-too-small", "nan-time", "infinite-omega"],
+    )
+    def test_bad_input_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["green", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+
     def test_routes_agree_on_random_times(self, runner):
         for seed in (1, 2, 3):
             report = _report(
@@ -195,6 +213,19 @@ class TestGnsCheck:
     def test_dimension_range_enforced(self, runner):
         result = runner.invoke(main, ["gns-check", "--n", "9"])
         assert result.exit_code != 0
+
+    def test_tracial_residuals_gate_the_exit_code(self, runner, monkeypatch):
+        real_verify = cli.verify_gns
+
+        def off_by_a_micro(space, samples, rng):
+            return {**real_verify(space, samples, rng), "homomorphism_residual": 1e-6}
+
+        monkeypatch.setattr(cli, "verify_gns", off_by_a_micro)
+        result = runner.invoke(main, ["gns-check", "--trials", "5"])
+        assert result.exit_code == 1
+        results = json.loads(result.stdout)["results"]
+        assert results["ok"] is False
+        assert results["tracial_summary"]["homomorphism_residual"] == 1e-6
 
 
 class TestReportEnvelope:

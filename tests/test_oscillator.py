@@ -1,9 +1,12 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from contextqm import oscillator
 from contextqm.algebra import AlgebraDescriptor
 from contextqm.gns import StateFunctional
 from contextqm.oscillator import (
@@ -127,6 +130,31 @@ class TestWick:
 
     def test_empty_product_is_one(self):
         assert wick_green([], 1.0) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.integers(0, 5).flatmap(
+            lambda k: st.lists(st.floats(-5.0, 5.0), min_size=2 * k, max_size=2 * k)
+        ),
+        omega=st.floats(0.05, 5.0),
+    )
+    def test_hafnian_matches_explicit_pairing_sum(self, times, omega):
+        terms = [
+            math.prod(two_point(times[i], times[j], omega) for i, j in matching)
+            for matching in perfect_matchings(range(len(times)))
+        ]
+        # relative to the terms' scale: equal-modulus phases may cancel
+        scale = sum(abs(term) for term in terms)
+        assert abs(wick_green(times, omega) - sum(terms)) <= 1e-12 * scale
+
+    def test_never_enumerates_matchings(self, monkeypatch, rng):
+        def refuse(indices):
+            raise AssertionError("wick_green enumerated the matchings")
+
+        times = list(rng.uniform(-5.0, 5.0, size=MAX_WICK_ORDER))
+        monkeypatch.setattr(oscillator, "perfect_matchings", refuse)
+        value = wick_green(times, 0.7)
+        assert abs(value - fock_oracle_green(times, 0.7)) <= 1e-8
 
 
 class TestFockOracle:
@@ -362,6 +390,28 @@ class TestFunctionalDerivative:
         g = TimeGrid(-3.0, 3.0, 61)
         with pytest.raises(ValueError):
             functional_derivative_green(g, [0.05, 0.0], 1.0)
+
+    def test_sub_kernel_matches_full_grid_functional(self, rng):
+        # reference: one full-grid generating functional per sign pattern
+        g = TimeGrid(-1.0, 1.0, 21)
+        w = g.trapezoid_weights()
+        omega, h = 1.3, 5e-2
+        for n in (1, 2, 3, 4):
+            times = list(rng.choice(g.nodes(), size=n))
+            total = 0.0 + 0.0j
+            for signs in itertools.product((1.0, -1.0), repeat=n):
+                samples = np.zeros(g.steps)
+                for sign, t in zip(signs, times):
+                    samples[g.node_index(t)] += sign * h / w[g.node_index(t)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CoarseGridWarning)
+                    z = generating_functional(SourceFunction(g, samples), omega)
+                total += math.prod(signs) * z
+            reference = total / (2.0 * h) ** n * (1.0 / 1j) ** n
+            # 2^n unit-size terms summed in another order, divided by (2h)^n
+            tolerance = 8 * 2**n * np.finfo(float).eps / (2.0 * h) ** n
+            fd = functional_derivative_green(g, times, omega, h=h)
+            assert abs(fd - reference) <= tolerance
 
     def test_fourth_order_equal_times(self):
         g = TimeGrid(-3.0, 3.0, 61)
