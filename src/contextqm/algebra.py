@@ -241,13 +241,13 @@ def _require_hermitian(element: AlgebraElement, who: str):
         raise NonHermitianError(f"{who} requires a Hermitian element")
 
 
-def _grouped_eigh(element: AlgebraElement, tolerance: float):
-    """eigh plus grouping of near-degenerate eigenvalues.
+def _grouped(values: np.ndarray, tolerance: float) -> list[list[int]]:
+    """Group near-degenerate eigenvalues of an ascending spectrum.
 
-    Returns (values, vectors, groups) where groups is a list of index
-    arrays into the ascending eigenvalue order.
+    Returns lists of indices into ``values``; an eigenvalue within
+    ``tolerance`` (relative to the largest magnitude) of its group's
+    first member joins that group.
     """
-    values, vectors = np.linalg.eigh(element.matrix)
     thr = tolerance * max(1.0, float(np.abs(values).max(initial=0.0)))
     groups: list[list[int]] = []
     for k, v in enumerate(values):
@@ -255,7 +255,7 @@ def _grouped_eigh(element: AlgebraElement, tolerance: float):
             groups[-1].append(k)
         else:
             groups.append([k])
-    return values, vectors, groups
+    return groups
 
 
 def spectrum(element: AlgebraElement, tolerance: float = GROUPING_TOL) -> list[float]:
@@ -268,8 +268,8 @@ def spectrum(element: AlgebraElement, tolerance: float = GROUPING_TOL) -> list[f
     viewed in.
     """
     _require_hermitian(element, "spectrum")
-    values, _, groups = _grouped_eigh(element, tolerance)
-    return [float(np.mean(values[g])) for g in groups]
+    values = np.linalg.eigh(element.matrix)[0]
+    return [float(np.mean(values[g])) for g in _grouped(values, tolerance)]
 
 
 def spectral_decomposition(
@@ -282,9 +282,9 @@ def spectral_decomposition(
     element and sum to the identity.
     """
     _require_hermitian(element, "spectral_decomposition")
-    values, vectors, groups = _grouped_eigh(element, tolerance)
+    values, vectors = np.linalg.eigh(element.matrix)
     pairs = []
-    for g in groups:
+    for g in _grouped(values, tolerance):
         vecs = vectors[:, g]
         proj = vecs @ vecs.conj().T
         proj = 0.5 * (proj + proj.conj().T)
@@ -350,13 +350,19 @@ def element_fingerprint(element: AlgebraElement, decimals: int = 9) -> str:
 
     Entries are rounded to ``decimals`` places before hashing so that
     numerically identical observables produced along different code paths
-    agree.
+    agree.  The block structure of a non-full algebra is hashed too, so
+    the same matrix in two algebras gets two fingerprints.
     """
     mat = element.matrix
     rounded = np.round(mat.real, decimals) + 1j * np.round(mat.imag, decimals)
     rounded += 0.0  # normalize -0.0 to +0.0 so the byte stream is canonical
     digest = hashlib.sha1()
     digest.update(str(mat.shape[0]).encode())
+    if not element.algebra.is_full:
+        # only non-full algebras are tagged, so full-algebra fingerprints (and
+        # the stable records and reports keyed on them) keep their bytes
+        sizes = ",".join(str(size) for size in element.algebra.block_sizes)
+        digest.update(f"blocks:{sizes};".encode())
     digest.update(np.ascontiguousarray(rounded).tobytes())
     return digest.hexdigest()
 

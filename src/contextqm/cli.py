@@ -51,8 +51,15 @@ def _emit(doc: dict, fmt: str, out: str | None, header=None, rows=None):
         write_text(render_csv(header, rows, preamble), out)
 
 
+def _note(text: str):
+    # Not click.echo(err=True): click caches a wrapper per sys.stderr object
+    # and that cache keeps alive every stream an in-process caller (tests,
+    # CliRunner) swaps in, so each invocation of ``main`` would leak one.
+    print(text, file=sys.stderr, flush=True)
+
+
 def _stopwatch(t0: float):
-    click.echo(f"wall_time_s: {time.perf_counter() - t0:.3f}", err=True)
+    _note(f"wall_time_s: {time.perf_counter() - t0:.3f}")
 
 
 seed_option = click.option(
@@ -325,7 +332,7 @@ def gns_check(dimension, trials, seed, out, fmt):
     if trials < 0:
         raise click.BadParameter("--trials must be nonnegative")
     if trials == 0:
-        click.echo("warning: --trials 0 is a vacuous pass", err=True)
+        _note("warning: --trials 0 is a vacuous pass")
     algebra = AlgebraDescriptor(dimension)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     expectation_residual = 0.0
@@ -351,14 +358,13 @@ def gns_check(dimension, trials, seed, out, fmt):
         compression_residual = max(
             compression_residual, compression_identity_check(psi, hermitian, rng)
         )
-    tracial_rank = build_gns(StateFunctional.tracial(algebra)).rank
+    tracial = build_gns(StateFunctional.tracial(algebra))
+    tracial_rank = tracial.rank
     rank_ok = rank_ok and tracial_rank == dimension**2
     summary = None
     residuals = [expectation_residual, compression_residual]
     if trials:
-        summary = verify_gns(
-            build_gns(StateFunctional.tracial(algebra)), min(trials, 20), rng
-        )
+        summary = verify_gns(tracial, min(trials, 20), rng)
         residuals += [v for k, v in summary.items() if k.endswith("_residual")]
     ok = bool(rank_ok and all(r <= GNS_THRESHOLD for r in residuals))
     doc = build_envelope(

@@ -17,7 +17,8 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     AlgebraElement,
-    NonHermitianError,
+    _grouped,
+    _require_hermitian,
     commutator,
     norm,
 )
@@ -221,22 +222,6 @@ class ContextRegistry:
             self._contexts.append(ctx)
             self._by_id[ctx.id] = ctx
             return ctx
-
-
-def _require_hermitian(element: AlgebraElement, who: str):
-    if not element.is_hermitian():
-        raise NonHermitianError(f"{who} requires Hermitian input")
-
-
-def _grouped(values: np.ndarray, tolerance: float) -> list[list[int]]:
-    thr = tolerance * max(1.0, float(np.abs(values).max(initial=0.0)))
-    groups: list[list[int]] = []
-    for k, v in enumerate(values):
-        if groups and v - values[groups[-1][0]] <= thr:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return groups
 
 
 def context_from_observable(

@@ -2,13 +2,19 @@
 
 Given a positive normalized linear functional Psi on the block matrix
 algebra, the scalar product Psi(R* S) on elements degenerates on the null
-directions; quotienting them out (a rank cutoff on the Gram form) leaves
-a genuine Hilbert space on which the algebra acts by left multiplication.
+directions; quotienting them out (a rank cutoff) leaves a genuine Hilbert
+space on which the algebra acts by left multiplication.  Every such Psi
+is trace(rho .), and Psi(R* S) = <R rho^1/2, S rho^1/2>_HS, so the space
+is built in closed form, block by block, from the eigenpairs of the
+diagonal blocks of rho: no Gram matrix over the matrix units is formed
+or eigensolved (``GnsSpace.gram`` builds one on request, for checks).
 The expectation in the cyclic vector reproduces Psi — the mechanism that
 turns the Born rule from an assumption into an identity.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -100,88 +106,104 @@ def matrix_units(algebra: AlgebraDescriptor) -> list[tuple[int, int]]:
     return pairs
 
 
+def _block_spectra(matrix: np.ndarray, blocks):
+    """eigh of each diagonal block, plus the largest eigenvalue over all."""
+    spectra = [np.linalg.eigh(matrix[b, b]) for b in blocks]
+    return spectra, max(float(values[-1]) for values, _ in spectra)
+
+
+def _kron_identity(mat: np.ndarray, r: int) -> np.ndarray:
+    """mat (x) I_r by one broadcast product (``np.kron`` costs more here)."""
+    n = mat.shape[0]
+    return (mat[:, None, :, None] * np.eye(r)[None, :, None, :]).reshape(n * r, n * r)
+
+
+def _block_diag(parts) -> np.ndarray:
+    """Square matrices laid along the diagonal of one complex matrix."""
+    if len(parts) == 1:
+        return parts[0]
+    size = sum(part.shape[0] for part in parts)
+    out = np.zeros((size, size), dtype=np.complex128)
+    offset = 0
+    for part in parts:
+        end = offset + part.shape[0]
+        out[offset:end, offset:end] = part
+        offset = end
+    return out
+
+
 class GnsSpace:
     """The quotient Hilbert space of a functional, with its representation.
 
-    ``class_vector`` maps an algebra element to its equivalence class
-    (an r-vector); ``represent`` maps an element to the operator of left
-    multiplication on classes.  Pure data after construction.
+    Built block by block from the functional's density matrix.  With the
+    kept eigenpairs of rho_b = rho[b, b] folded into W_b = V_b sqrt(lambda_b),
+    Psi(R* S) = sum_b <R_b W_b, S_b W_b>_HS, so the quotient is
+    sum_b C^{n_b} (x) range(rho_b): ``class_vector`` maps an element R to
+    the concatenated row-major vec(R_b W_b) (an r-vector), and
+    ``represent`` maps S to left multiplication on classes,
+    block-diag_b(S_b (x) I_{r_b}).  Pure data after construction.
     """
 
     def __init__(self, functional: StateFunctional, tolerance: float = RANK_CUTOFF):
         self.functional = functional
         self.algebra = functional.algebra
         self.tolerance = float(tolerance)
-        self.units = matrix_units(self.algebra)
-
-        # Gram form of the scalar product on matrix units:
-        #   E_i* E_j = delta(row_i, row_j) * unit(col_i, col_j)
-        # so G[i, j] = Psi(unit(col_i, col_j)) when rows coincide, else 0.
-        count = len(self.units)
         rho = functional._rho
-        gram = np.zeros((count, count), dtype=np.complex128)
-        for i, (row_i, col_i) in enumerate(self.units):
-            for j, (row_j, col_j) in enumerate(self.units):
-                if row_i == row_j:
-                    gram[i, j] = rho[col_j, col_i]
-        gram = 0.5 * (gram + gram.conj().T)
-        self.gram = gram
-
-        eigenvalues, eigenvectors = np.linalg.eigh(gram)
-        top = float(eigenvalues[-1])
-        if eigenvalues[0] < -1e-10 * max(top, 1.0):
+        self._blocks = self.algebra.block_slices()
+        # The Gram form on matrix units is block-diag_b(I_{n_b} (x) rho_b^T),
+        # whose spectrum is each rho_b spectrum repeated n_b times: the rank
+        # cutoff on it is a cutoff on the rho_b eigenvalues.
+        spectra, top = _block_spectra(rho, self._blocks)
+        if min(float(values[0]) for values, _ in spectra) < -1e-10 * max(top, 1.0):
             raise ValueError("functional induces a non-positive Gram form")
-        keep = eigenvalues > self.tolerance * max(top, 0.0)
-        # descending order for a stable, leading-first quotient basis
-        order = np.argsort(eigenvalues[keep])[::-1]
-        kept_values = eigenvalues[keep][order]
-        kept_vectors = eigenvectors[:, keep][:, order]
-        self.rank = int(kept_values.size)
-        self._scale = np.sqrt(kept_values)
-        self._frame = kept_vectors  # columns: orthonormal kept directions
+        cutoff = self.tolerance * max(top, 0.0)
+        self._factors = [
+            vectors[:, values > cutoff] * np.sqrt(values[values > cutoff])
+            for values, vectors in spectra
+        ]
+        self.rank = sum(w.shape[0] * w.shape[1] for w in self._factors)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Gram form G[i, j] = Psi(E_i* E_j) on the ``matrix_units`` basis."""
+        rho = self.functional._rho
+        return _block_diag(
+            [np.kron(np.eye(b.stop - b.start), rho[b, b].T) for b in self._blocks]
+        )
 
     # -- maps -----------------------------------------------------------------
-
-    def coefficients(self, element: AlgebraElement) -> np.ndarray:
-        """Coordinates of an element in the matrix-unit basis."""
-        mat = element.matrix
-        return np.array([mat[row, col] for row, col in self.units])
 
     def class_vector(self, element: AlgebraElement) -> np.ndarray:
         """The r-vector of the element's equivalence class, with
         <class_vector(R), class_vector(S)> = Psi(R* S)."""
-        coeff = self.coefficients(element)
-        return self._scale * (self._frame.conj().T @ coeff)
-
-    def _left_multiplication(self, element: AlgebraElement) -> np.ndarray:
-        """Matrix of S . acting on unit coefficients."""
-        count = len(self.units)
-        index = {pair: i for i, pair in enumerate(self.units)}
-        op = np.zeros((count, count), dtype=np.complex128)
+        if element.algebra != self.algebra:
+            raise ValueError("element belongs to a different algebra")
         mat = element.matrix
-        for j, (row_j, col_j) in enumerate(self.units):
-            # S @ unit(row_j, col_j) has column col_j equal to S[:, row_j]
-            for row_i in range(mat.shape[0]):
-                target = index.get((row_i, col_j))
-                if target is not None:
-                    op[target, j] = mat[row_i, row_j]
-        return op
+        return np.concatenate(
+            [(mat[b, b] @ w).reshape(-1) for b, w in zip(self._blocks, self._factors)]
+        )
 
     def represent(self, element: AlgebraElement) -> np.ndarray:
         """The GNS operator: left multiplication pushed to the quotient."""
         if element.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        lifted = self._frame.conj().T @ self._left_multiplication(element) @ self._frame
-        return (self._scale[:, None] * lifted) / self._scale[None, :]
+        mat = element.matrix
+        return _block_diag(
+            [
+                _kron_identity(mat[b, b], w.shape[1])
+                for b, w in zip(self._blocks, self._factors)
+            ]
+        )
 
     def cyclic_vector(self) -> np.ndarray:
-        return self.class_vector(AlgebraElement.identity(self.algebra))
+        """The class of the identity: the concatenated vec(W_b)."""
+        return np.concatenate([w.reshape(-1) for w in self._factors])
 
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.algebra.dimension,
             "block_sizes": list(self.algebra.block_sizes),
-            "units": len(self.units),
+            "units": len(matrix_units(self.algebra)),
             "rank": self.rank,
             "tolerance": self.tolerance,
         }
@@ -234,15 +256,16 @@ def compression_identity_check(
     )
     rng = rng if rng is not None else np.random.default_rng(0)
     n = psi.algebra.dimension
-    functional = StateFunctional.from_quantum_state(psi)
-    for _ in range(samples):
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        s = AlgebraElement(raw, psi.algebra)
-        s_compressed = AlgebraElement(p @ raw @ p, psi.algebra)
-        residual = max(
-            residual, abs(functional.value(s) - functional.value(s_compressed))
-        )
-    return residual
+    # one (sample, re/im, n, n) draw consumes the generator exactly as
+    # drawing each sample's real then imaginary part in turn would
+    draws = rng.normal(size=(samples, 2, n, n))
+    raw = draws[:, 0] + 1j * draws[:, 1]
+    if not psi.algebra.is_full:
+        raw = raw * psi.algebra.block_mask()
+    # Psi(S) = trace(p S) against Psi(p S p), sample by sample
+    direct = np.einsum("ij,sji->s", p, raw)
+    sandwiched = np.einsum("ij,sji->s", p, p @ raw @ p)
+    return max(residual, float(np.abs(direct - sandwiched).max(initial=0.0)))
 
 
 def class_equality_check(space: GnsSpace, p: AlgebraElement, tolerance: float = 1e-9) -> bool:
@@ -269,24 +292,26 @@ def seminorm_ideal(algebra: AlgebraDescriptor, functionals) -> dict:
     functionals = list(functionals)
     if not functionals:
         raise ValueError("empty functional family")
-    spaces = [GnsSpace(f) for f in functionals]
-    total = sum(space.gram for space in spaces)
-    eigenvalues, eigenvectors = np.linalg.eigh(total)
-    top = float(eigenvalues[-1])
-    null_mask = eigenvalues <= RANK_CUTOFF * max(top, 1.0)
-    units = matrix_units(algebra)
-    basis = []
+    if any(f.algebra != algebra for f in functionals):
+        raise ValueError("functional is not defined on the requested algebra")
+    # Sum_k Psi_k(R* R) = sum_b trace(R_b sigma_b R_b*) with sigma = sum_k rho_k,
+    # so R is null iff every row of every R_b is u* for u in null(sigma_b).
+    total = sum(f._rho for f in functionals)
+    blocks = algebra.block_slices()
+    spectra, top = _block_spectra(total, blocks)
+    cutoff = RANK_CUTOFF * max(top, 1.0)
     n = algebra.dimension
-    for column in np.flatnonzero(null_mask):
-        coeff = eigenvectors[:, column]
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for value, (row, col) in zip(coeff, units):
-            mat[row, col] = value
-        basis.append(AlgebraElement(mat, algebra))
+    basis = []
+    for b, (values, vectors) in zip(blocks, spectra):
+        for u in vectors[:, values <= cutoff].T:
+            for row in range(b.start, b.stop):
+                mat = np.zeros((n, n), dtype=np.complex128)
+                mat[row, b] = u.conj()
+                basis.append(AlgebraElement(mat, algebra))
     return {
         "basis": basis,
         "ideal_dimension": len(basis),
-        "quotient_dimension": len(units) - len(basis),
+        "quotient_dimension": len(matrix_units(algebra)) - len(basis),
     }
 
 

@@ -33,6 +33,15 @@ __all__ = [
 STABILITY_TOL = 1e-9
 
 
+def _unit_vector(vector) -> np.ndarray:
+    """The vector scaled to unit length; a zero or non-finite one is rejected."""
+    vec = np.asarray(vector, dtype=np.complex128)
+    length = np.linalg.norm(vec)
+    if not 0.0 < length < np.inf:  # a NaN or inf entry makes the norm fail too
+        raise ValueError("attached vector must have a finite, nonzero norm")
+    return vec / length
+
+
 @dataclass(frozen=True)
 class Character:
     """Selection of joint eigenvector ``index`` in context ``context``."""
@@ -79,8 +88,7 @@ class ElementaryState:
         self.attached_vector = None
         self.stability_reset_count = 0
         if attached_vector is not None:
-            vec = np.asarray(attached_vector, dtype=np.complex128)
-            self.attached_vector = vec / np.linalg.norm(vec)
+            self.attached_vector = _unit_vector(attached_vector)
 
     # -- stability records ------------------------------------------------
 
@@ -98,8 +106,7 @@ class ElementaryState:
         one ensemble is not carried into another.  The reset is counted so
         report metadata can flag it.
         """
-        vec = np.asarray(vector, dtype=np.complex128)
-        self.attached_vector = vec / np.linalg.norm(vec)
+        self.attached_vector = _unit_vector(vector)
         if self.stable:
             self.stable = {}
         self.stability_reset_count += 1

@@ -254,6 +254,21 @@ class TestSerialization:
         b = AlgebraElement(np.array([[-0.0, 1.0], [1.0, -0.0]]), alg)
         assert element_fingerprint(a) == element_fingerprint(b)
 
+    def test_fingerprint_separates_block_structures(self):
+        m = np.diag([1.0, 2.0])
+        full = AlgebraElement(m, AlgebraDescriptor(2))
+        split = AlgebraElement(m, AlgebraDescriptor(2, (1, 1)))
+        assert element_fingerprint(full) != element_fingerprint(split)
+
+    def test_full_algebra_fingerprints_are_pinned(self):
+        # Stable records and reports key on these strings; the block tag
+        # must leave every full-algebra fingerprint as it was.
+        alg = AlgebraDescriptor(2)
+        hermitian = AlgebraElement(np.array([[1.0, 0.5j], [-0.5j, 2.0]]), alg)
+        diagonal = AlgebraElement.from_diagonal([1.0, 2.0], alg)
+        assert element_fingerprint(hermitian) == "bd5aac5726c23d7a8e7a76341961793cfe0354cc"
+        assert element_fingerprint(diagonal) == "7d5f0b86363054131583f01fe53f0acd755b3bef"
+
     def test_json_round_trip_is_exact(self, rng):
         alg = AlgebraDescriptor(5, (3, 2))
         a = random_element(5, rng, alg)

@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 
 import pytest
@@ -246,6 +248,20 @@ class TestReportEnvelope:
         result = runner.invoke(main, ["ks-search"])
         assert "wall_time" in result.stderr
         assert "wall_time" not in result.stdout
+
+    def test_in_process_invocations_release_their_streams(self, runner):
+        # Each CliRunner invocation swaps in fresh stdout/stderr wrappers;
+        # writing the stderr notes must not keep them alive afterwards.
+        def live_text_streams():
+            gc.collect()
+            return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+        args = ["gns-check", "--trials", "0"]
+        runner.invoke(main, args)
+        before = live_text_streams()
+        for _ in range(20):
+            assert "vacuous" in runner.invoke(main, args).stderr
+        assert live_text_streams() <= before
 
     def test_csv_preamble_comments_carry_metadata(self, runner):
         result = runner.invoke(main, ["ks-search", "--format", "csv"])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint
 from contextqm.ensembles import QuantumState
 from contextqm.gns import (
+    RANK_CUTOFF,
     StateFunctional,
     build_gns,
     class_equality_check,
@@ -83,6 +85,92 @@ class TestGramMatrix:
         space = build_gns(f)
         eigs = np.linalg.eigvalsh(space.gram)
         assert eigs.min() >= -1e-12
+
+
+def _mixed_functional(sizes, vectors, blind, seed):
+    """A mixed, generally rank-deficient functional on a block algebra.
+
+    rho = V V* / trace with ``vectors`` random columns; when ``blind``
+    names a block (and there are others), V is zeroed on its rows.
+    """
+    alg = AlgebraDescriptor(sum(sizes), tuple(sizes))
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(alg.dimension, vectors)) + 1j * rng.normal(
+        size=(alg.dimension, vectors)
+    )
+    if len(sizes) > 1 and blind < len(sizes):
+        v[alg.block_slices()[blind]] = 0.0
+    rho = v @ v.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return StateFunctional(rho / np.trace(rho).real, alg), rng
+
+
+def _gram_oracle_rank(f):
+    """Rank of the Gram form built from ``f.value`` on the matrix units."""
+    units = [_unit_element(r, c, f.algebra) for r, c in matrix_units(f.algebra)]
+    gram = np.array([[f.value(adjoint(ei) @ ej) for ej in units] for ei in units])
+    eigs = np.linalg.eigvalsh(gram)
+    return int(np.sum(eigs > RANK_CUTOFF * max(eigs[-1], 0.0)))
+
+
+class TestClosedFormAgainstGramOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        vectors=st.integers(1, 4),
+        blind=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_and_scalar_product_match_brute_force(
+        self, sizes, vectors, blind, seed
+    ):
+        f, rng = _mixed_functional(sizes, vectors, blind, seed)
+        alg = f.algebra
+        space = build_gns(f)
+        assert space.rank == _gram_oracle_rank(f)
+        for _ in range(5):
+            r = random_element(alg.dimension, rng, alg)
+            s = random_element(alg.dimension, rng, alg)
+            lhs = np.vdot(space.class_vector(r), space.class_vector(s))
+            assert abs(lhs - f.value(adjoint(r) @ s)) <= 1e-10
+            # Pi(S) acts on the class of R as the class of S R
+            moved = represent(space, s) @ space.class_vector(r)
+            assert np.max(np.abs(moved - space.class_vector(s @ r))) <= 1e-10
+            assert abs(vacuum_expectation(space, s) - f.value(s)) <= 1e-10
+
+    def test_rank_cutoff_near_threshold_matches_gram_oracle(self):
+        # 1e-8 sits above the relative cutoff and is kept; 1e-12 sits
+        # below it and is dropped, in both the closed form and the oracle.
+        alg = AlgebraDescriptor(3)
+        f = StateFunctional(np.diag([1.0 - 1e-8 - 1e-12, 1e-8, 1e-12]), alg)
+        assert build_gns(f).rank == _gram_oracle_rank(f) == 6
+
+    @pytest.mark.parametrize(
+        "sizes, kind", [((4,), "pure"), ((4,), "tracial"), ((3, 2, 1), "mixed")]
+    )
+    def test_eigensolves_never_exceed_largest_block(self, sizes, kind, monkeypatch):
+        alg = AlgebraDescriptor(sum(sizes), sizes)
+        if kind == "pure":
+            f = StateFunctional.from_vector(np.arange(1.0, 5.0), alg)
+        elif kind == "tracial":
+            f = StateFunctional.tracial(alg)
+        else:
+            f, _ = _mixed_functional(list(sizes), 6, 9, 3)
+        solved = []
+
+        def spy(solver):
+            def wrapped(a, *args, **kwargs):
+                solved.append(np.shape(a)[-1])
+                return solver(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        space = build_gns(f)
+        assert solved and max(solved) <= max(sizes)
+        expected = alg.dimension if kind == "pure" else sum(b * b for b in sizes)
+        assert space.rank == expected
 
 
 class TestRanks:
@@ -175,6 +263,16 @@ class TestRepresentation:
         rhs = space.class_vector(AlgebraElement.identity(alg))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
+    def test_foreign_elements_rejected(self):
+        # the off-block entries of a full-algebra element have no class in
+        # the GNS space of a block algebra
+        space = build_gns(StateFunctional.tracial(AlgebraDescriptor(3, (2, 1))))
+        foreign = AlgebraElement(np.ones((3, 3)), AlgebraDescriptor(3))
+        with pytest.raises(ValueError):
+            space.class_vector(foreign)
+        with pytest.raises(ValueError):
+            represent(space, foreign)
+
     def test_json_summary(self, rng):
         alg = AlgebraDescriptor(2)
         space = build_gns(StateFunctional.tracial(alg))
@@ -260,6 +358,22 @@ class TestSeminormIdeal:
         assert seminorm_ideal(alg, [f1])["ideal_dimension"] == 3
         assert seminorm_ideal(alg, [f1, f2])["ideal_dimension"] == 1
         assert seminorm_ideal(alg, [f1, f2, f3])["ideal_dimension"] == 0
+
+    def test_basis_is_null_for_every_member(self):
+        alg = AlgebraDescriptor(5, (3, 2))
+        f1 = StateFunctional.from_vector(np.array([1.0, 1j, 0.0, 0.0, 0.0]), alg)
+        f2, _ = _mixed_functional([3, 2], 2, 0, 11)
+        f3 = StateFunctional.from_vector(np.array([0.0, 0.0, 1.0, 2.0, 0.0]), alg)
+        for family in ([f1], [f2], [f1, f3], [f1, f2, f3]):
+            out = seminorm_ideal(alg, family)
+            basis = out["basis"]
+            assert len(basis) == out["ideal_dimension"] > 0
+            for r in basis:
+                for f in family:
+                    assert abs(f.value(adjoint(r) @ r)) <= 1e-12
+            # linearly independent: a basis, not just a spanning list
+            stacked = np.array([r.matrix.reshape(-1) for r in basis])
+            assert np.linalg.matrix_rank(stacked) == len(basis)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

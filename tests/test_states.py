@@ -122,6 +122,20 @@ class TestLazyLayers:
         se = np.sqrt(weights * (1 - weights) / 400)
         assert np.all(np.abs(freq - weights) <= 4 * se + 1e-9)
 
+    @pytest.mark.parametrize(
+        "vector",
+        [np.zeros(3), np.array([np.nan, 1.0, 0.0]), np.array([np.inf, 0.0, 0.0])],
+    )
+    def test_zero_or_non_finite_attached_vector_rejected(self, vector):
+        with pytest.raises(ValueError):
+            ElementaryState(attached_vector=vector)
+        phi = ElementaryState(attached_vector=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            phi.attach_state(vector)
+        # the rejected vector leaves the state as it was
+        assert np.array_equal(phi.attached_vector, [1.0, 0.0, 0.0])
+        assert phi.stability_reset_count == 0
+
     def test_layer_is_drawn_once_then_fixed(self, shared_setup):
         _, ctx1, _, _ = shared_setup
         phi = ElementaryState(rng=np.random.default_rng(11))
