@@ -102,6 +102,8 @@ def _as_matrix(data, dimension: int | None = None) -> np.ndarray:
         raise ValueError(
             f"matrix size {mat.shape[0]} does not match algebra dimension {dimension}"
         )
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     return mat
 
 

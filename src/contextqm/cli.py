@@ -201,7 +201,10 @@ def ks_search(ray_file, pair_rule, seed, out, fmt):
     33-ray set on which the search provably exhausts.
     """
     t0 = time.perf_counter()
-    rays = peres33_rays() if ray_file is None else load_ray_csv(ray_file)
+    try:  # the bundled set is checksum-verified, so only a user file can fail here
+        rays = peres33_rays() if ray_file is None else load_ray_csv(ray_file)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--ray-file") from exc
     try:
         result = ks_noncontextual_search(rays, pair_rule=pair_rule)
     except ValueError as exc:

@@ -92,10 +92,18 @@ class Context:
         v = self.basis[:, k]
         return AlgebraElement(np.outer(v, v.conj()), self.algebra)
 
-    def diagonal_values(self, element: AlgebraElement) -> np.ndarray:
-        """The n read-off values <e_k, A e_k> (real parts)."""
+    def diagonal_values(self, element: AlgebraElement) -> np.ndarray | None:
+        """The n read-off values <e_k, A e_k> (real parts), or None when the
+        observable is not in the context: an off-diagonal entry of
+        B^dagger A B exceeds DIAGONAL_TOL * max(1, max|A|).
+        """
         transformed = self.basis.conj().T @ element.matrix @ self.basis
-        return np.real(np.diag(transformed))
+        diagonal = np.diag(transformed)
+        off = np.abs(transformed - np.diag(diagonal)).max(initial=0.0)
+        scale = max(1.0, float(np.abs(element.matrix).max(initial=0.0)))
+        if not off <= DIAGONAL_TOL * scale:  # a NaN residual is not membership
+            return None
+        return np.real(diagonal)
 
     def to_json_dict(self) -> dict:
         return {
@@ -298,16 +306,13 @@ def context_from_family(
     return registry.register(basis, algebra)
 
 
-def contains(ctx: Context, element: AlgebraElement, tolerance: float = DIAGONAL_TOL) -> bool:
+def contains(ctx: Context, element: AlgebraElement) -> bool:
     """True iff the observable is diagonal in the context basis.
 
     This is membership in the commutative subalgebra the context models;
     the identity belongs to every context.
     """
-    transformed = ctx.basis.conj().T @ element.matrix @ ctx.basis
-    off = transformed - np.diag(np.diag(transformed))
-    scale = max(1.0, float(np.abs(element.matrix).max(initial=0.0)))
-    return bool(np.abs(off).max(initial=0.0) <= tolerance * scale)
+    return ctx.diagonal_values(element) is not None
 
 
 def interpolated_generator(

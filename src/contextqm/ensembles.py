@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint, spectrum
-from .contexts import Context, IncompatibleObservableError, contains
+from .contexts import Context, IncompatibleObservableError
 from .states import ElementaryState
 
 __all__ = [
@@ -193,10 +193,10 @@ def ensemble_average(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    if not contains(ctx, element):
+    reads = ctx.diagonal_values(element)
+    if reads is None:
         raise IncompatibleObservableError("observable is not contained in the context")
     probs = born_distribution(psi, ctx)
-    reads = ctx.diagonal_values(element)
     indices = rng.choice(ctx.dimension, size=sample_count, p=probs / probs.sum())
     values = reads[indices]
 
@@ -261,26 +261,22 @@ def instrument_independence_report(
     distributions at every spectrum threshold are compared against the
     4-pooled-standard-error band.
     """
-    for ctx in (ctx1, ctx2):
-        if not contains(ctx, element):
-            raise IncompatibleObservableError(
-                f"observable is not shared by context {ctx.id}"
-            )
+    contexts = (ctx1, ctx2)
+    reads = [ctx.diagonal_values(element) for ctx in contexts]
+    for ctx, ctx_reads in zip(contexts, reads):
+        if ctx_reads is None:
+            raise IncompatibleObservableError(f"observable is not shared by context {ctx.id}")
     points = sorted(spectrum(element))
+    probs = [born_distribution(psi, ctx) for ctx in contexts]
 
-    def exact_cdf(ctx):
-        probs = born_distribution(psi, ctx)
-        reads = ctx.diagonal_values(element)
-        return [float(probs[reads <= point + 1e-9].sum()) for point in points]
-
-    def empirical_values(ctx):
-        probs = born_distribution(psi, ctx)
-        reads = ctx.diagonal_values(element)
-        idx = rng.choice(ctx.dimension, size=sample_count, p=probs / probs.sum())
-        return reads[idx]
-
-    exact1, exact2 = exact_cdf(ctx1), exact_cdf(ctx2)
-    values1, values2 = empirical_values(ctx1), empirical_values(ctx2)
+    exact1, exact2 = (
+        [float(p[r <= point + 1e-9].sum()) for point in points]
+        for p, r in zip(probs, reads)
+    )
+    values1, values2 = (
+        r[rng.choice(ctx.dimension, size=sample_count, p=p / p.sum())]
+        for ctx, p, r in zip(contexts, probs, reads)
+    )
 
     thresholds = []
     max_exact_diff = 0.0

@@ -21,9 +21,10 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint, spectral_decomposition
+from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint
 from .contexts import Context, IncompatibleObservableError, contains
-from .states import ElementaryState, StableRecord
+from .reports import parse_float_csv
+from .states import ElementaryState, StableRecord, agreeing
 
 __all__ = [
     "Instrument",
@@ -83,10 +84,15 @@ def measure(phi: ElementaryState, inst: Instrument, element: AlgebraElement, rng
       context contains them;
     * all other layers are dropped; they are re-drawn lazily, conditioned
       on the surviving records and on the attached state vector, which is
-      projected onto the eigenspace of the observed value.
+      projected onto the acting context's basis vectors that read the
+      observed value, which span its eigenspace.
+
+    Raises ``ValueError``, leaving the state as it was, when the attached
+    vector has no weight there (possible only for a layer not drawn from it).
     """
     ctx = inst.context
-    if not contains(ctx, element):
+    reads = ctx.diagonal_values(element)
+    if reads is None:
         raise IncompatibleObservableError(
             f"instrument {inst.label or inst.type_id} cannot measure this observable"
         )
@@ -96,20 +102,22 @@ def measure(phi: ElementaryState, inst: Instrument, element: AlgebraElement, rng
     record = phi.stable.get(fingerprint)
     value = record.value if record is not None else acting.value(element)
 
+    vector = phi.attached_vector
+    if vector is not None:
+        eigenspace = ctx.basis[:, agreeing(reads, value)]
+        projected = eigenspace @ (eigenspace.conj().T @ vector)
+        weight = np.linalg.norm(projected)
+        if not weight > 1e-12:
+            raise ValueError(f"attached vector has no weight on value {value!r} in {ctx.id}")
+        vector = projected / weight
+
     phi.layers = {ctx.id: acting}
     kept = {
         fp: rec for fp, rec in phi.stable.items() if contains(ctx, rec.element)
     }
     kept[fingerprint] = StableRecord(fingerprint, element, value)
     phi.stable = kept
-
-    if phi.attached_vector is not None:
-        pairs = spectral_decomposition(element).pairs
-        _, projector = min(pairs, key=lambda pair: abs(pair[0] - value))
-        projected = projector.matrix @ phi.attached_vector
-        weight = np.linalg.norm(projected)
-        if weight > 1e-12:
-            phi.attached_vector = projected / weight
+    phi.attached_vector = vector
 
     return value, phi
 
@@ -280,7 +288,7 @@ def _orthogonal_structure(rays: np.ndarray):
         for k in orth[i] & orth[j]
         if k > j
     ]
-    return pairs, triads
+    return pairs, triads, orth
 
 
 def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
@@ -304,17 +312,13 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
     if np.abs(norms - 1.0).max() > 1e-9:
         raise ValueError("rays must be normalized")
 
-    pairs, triads = _orthogonal_structure(rays)
+    pairs, triads, orth = _orthogonal_structure(rays)
     if not triads:
         raise ValueError("ray set contains no complete orthogonal triad")
 
     m = len(rays)
     values = [None] * m
-    pair_partners = {i: set() for i in range(m)}
-    if pair_rule:
-        for i, j in pairs:
-            pair_partners[i].add(j)
-            pair_partners[j].add(i)
+    pair_partners = orth if pair_rule else {i: set() for i in range(m)}
     triads_of = {i: [] for i in range(m)}
     for t, triad in enumerate(triads):
         for i in triad:
@@ -380,18 +384,10 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
                 values[k] = None
         return False
 
-    if search():
-        return KsSearchResult(
-            assignment={i: int(values[i]) for i in range(m)},
-            exhausted=False,
-            nodes=nodes,
-            ray_count=m,
-            triad_count=len(triads),
-            pair_count=len(pairs),
-        )
+    found = search()
     return KsSearchResult(
-        assignment=None,
-        exhausted=True,
+        assignment={i: int(values[i]) for i in range(m)} if found else None,
+        exhausted=not found,
         nodes=nodes,
         ray_count=m,
         triad_count=len(triads),
@@ -406,19 +402,10 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
 
 def load_ray_csv(path) -> np.ndarray:
     """Read rays from CSV lines "x,y,z"; '#' starts a comment; normalizes."""
-    rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"malformed ray line: {line!r}")
-            rows.append([float(p) for p in parts])
-    if not rows:
+        rays = parse_float_csv(handle.read(), 3, f"ray file {path}")
+    if not len(rays):
         raise ValueError("ray file contains no rays")
-    rays = np.asarray(rows, dtype=float)
     norms = np.linalg.norm(rays, axis=1)
     if norms.min() < 1e-12:
         raise ValueError("ray file contains a zero vector")
@@ -434,11 +421,5 @@ def peres33_rays() -> np.ndarray:
         raise RuntimeError(
             f"bundled ray file failed its checksum ({digest}); refusing to use it"
         )
-    rows = []
-    for line in raw.decode("utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append([float(p) for p in line.split(",")])
-    rays = np.asarray(rows, dtype=float)
+    rays = parse_float_csv(raw.decode("utf-8"), 3, "bundled ray file")
     return rays / np.linalg.norm(rays, axis=1)[:, None]

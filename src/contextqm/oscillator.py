@@ -20,6 +20,7 @@ from scipy import integrate
 
 from .algebra import AlgebraElement
 from .gns import StateFunctional
+from .reports import parse_float_csv
 
 __all__ = [
     "CoarseGridWarning",
@@ -362,23 +363,16 @@ class SourceFunction:
     @classmethod
     def from_csv(cls, path) -> "SourceFunction":
         """Read "t,j" lines ('#' comments); the times must be uniform."""
-        times, values = [], []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                t_text, j_text = line.split(",")
-                times.append(float(t_text))
-                values.append(float(j_text))
-        if len(times) < 2:
+            rows = parse_float_csv(handle.read(), 2, f"source file {path}")
+        if len(rows) < 2:
             raise ValueError("source file needs at least 2 samples")
-        times = np.asarray(times)
+        times, values = rows[:, 0], rows[:, 1]
         deltas = np.diff(times)
         if deltas.min() <= 0 or np.abs(deltas - deltas[0]).max() > 1e-9 * abs(deltas[0]):
             raise ValueError("source grid must be uniform and increasing")
         grid = TimeGrid(float(times[0]), float(times[-1]), len(times))
-        return cls(grid, np.asarray(values, dtype=float))
+        return cls(grid, values)
 
 
 def _causal_kernel(delta_t: np.ndarray, omega: float) -> np.ndarray:

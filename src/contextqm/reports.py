@@ -3,7 +3,9 @@
 Reports must be byte-identical across runs with the same command, seed
 and parameters, so everything nondeterministic (wall time, hostnames)
 stays out of them; timings go to stderr.  JSON is sorted and indented;
-CSV rows carry a fixed field order with full-precision floats.
+CSV rows carry a fixed field order with full-precision floats.  The
+module also holds the one reader for the '#'-commented float CSV files
+the library loads (ray sets, source functions).
 """
 
 from __future__ import annotations
@@ -75,3 +77,27 @@ def write_text(text: str, out_path: str | None):
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def parse_float_csv(text: str, columns: int, source: str) -> np.ndarray:
+    """Rows of ``columns`` comma-separated finite floats, as a 2-D array.
+
+    '#' starts a comment and blank lines are skipped; any other line
+    must hold exactly ``columns`` finite numbers, or ``ValueError`` names
+    ``source`` and the line.
+    """
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].strip()
+        if not fields:
+            continue
+        try:
+            row = [float(part) for part in fields.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != columns or not np.isfinite(row).all():
+            raise ValueError(
+                f"{source}, line {number}: expected {columns} finite numbers: {fields!r}"
+            )
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, columns)

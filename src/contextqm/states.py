@@ -33,6 +33,11 @@ __all__ = [
 STABILITY_TOL = 1e-9
 
 
+def agreeing(reads: np.ndarray, value: float) -> np.ndarray:
+    """Mask of the context reads that agree with ``value`` to ``STABILITY_TOL``."""
+    return np.abs(reads - value) <= STABILITY_TOL * max(1.0, abs(value))
+
+
 def _unit_vector(vector) -> np.ndarray:
     """The vector scaled to unit length; a zero or non-finite one is rejected."""
     vec = np.asarray(vector, dtype=np.complex128)
@@ -117,12 +122,9 @@ class ElementaryState:
         """Indices consistent with every stable record contained in ctx."""
         ok = np.ones(ctx.dimension, dtype=bool)
         for record in self.stable.values():
-            if not contains(ctx, record.element):
-                continue
             reads = ctx.diagonal_values(record.element)
-            ok &= np.abs(reads - record.value) <= STABILITY_TOL * max(
-                1.0, abs(record.value)
-            )
+            if reads is not None:
+                ok &= agreeing(reads, record.value)
         return np.flatnonzero(ok)
 
     def ensure_layer(self, ctx: Context, rng=None) -> Character:
@@ -237,25 +239,14 @@ def _overlap_component(ctx: Context, other: Context, index: int) -> np.ndarray:
     the joint eigenspaces of all shared observables.  Stability forces the
     other context's index into the component of the seed index.
     """
-    overlap = np.abs(ctx.basis.conj().T @ other.basis) ** 2
-    n, m = overlap.shape
-    edge = overlap > 1e-12
-    seen_left = {index}
-    seen_right: set[int] = set()
-    frontier_left = {index}
-    while frontier_left:
-        reached_right = set()
-        for i in frontier_left:
-            reached_right.update(int(j) for j in np.flatnonzero(edge[i]))
-        reached_right -= seen_right
-        seen_right |= reached_right
-        frontier_left = set()
-        for j in reached_right:
-            for i in (int(i) for i in np.flatnonzero(edge[:, j])):
-                if i not in seen_left:
-                    seen_left.add(i)
-                    frontier_left.add(i)
-    return np.array(sorted(seen_right), dtype=int)
+    edge = np.abs(ctx.basis.conj().T @ other.basis) ** 2 > 1e-12
+    reached = np.arange(edge.shape[0]) == index
+    while True:
+        right = edge[reached].any(axis=0)
+        grown = reached | edge[:, right].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(right)
+        reached = grown
 
 
 def construct_stable_on(

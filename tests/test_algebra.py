@@ -51,6 +51,11 @@ class TestElement:
         with pytest.raises(ValueError):
             AlgebraElement(np.ones((3, 3)), alg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            AlgebraElement([[1.0, 0.0], [0.0, bad]], AlgebraDescriptor(2))
+
     def test_matrix_is_read_only(self):
         alg = AlgebraDescriptor(2)
         e = AlgebraElement.identity(alg)

@@ -115,6 +115,15 @@ class TestKsSearch:
         result = runner.invoke(main, ["ks-search", "--ray-file", str(rays)])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("text", ["1,0\n", "1,0,0\nnan,0,1\n", "1,0,x\n"])
+    def test_bad_ray_file_is_a_usage_error(self, runner, tmp_path, text):
+        rays = tmp_path / "bad.csv"
+        rays.write_text(text)
+        result = runner.invoke(main, ["ks-search", "--ray-file", str(rays)])
+        assert result.exit_code == 2
+        assert "--ray-file" in result.output and "line" in result.output
+        assert "Traceback" not in result.output
+
     def test_csv_format_summary_line(self, runner):
         result = runner.invoke(main, ["ks-search", "--format", "csv"])
         assert result.exit_code == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, commutator, norm
 from contextqm.contexts import (
@@ -244,6 +245,27 @@ class TestContextApi:
         ctx = context_from_observable(sz, registry)
         ident = AlgebraElement.identity(sz.algebra)
         assert np.array_equal(ctx.diagonal_values(ident), np.ones(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        leak=st.sampled_from([0.0, 1e-13, 1e-6, 1.0]),
+    )
+    def test_diagonal_values_is_none_exactly_when_not_contained(self, seed, n, leak):
+        rng = np.random.default_rng(seed)
+        ctx = context_from_observable(random_hermitian(n, rng), ContextRegistry())
+        diagonal = rng.normal(size=n)
+        inside = (ctx.basis * diagonal) @ ctx.basis.conj().T
+        element = AlgebraElement(
+            inside + leak * random_hermitian(n, rng).matrix, ctx.algebra
+        )
+        reads = ctx.diagonal_values(element)
+        assert (reads is None) == (not contains(ctx, element))
+        if leak <= 1e-13:
+            assert np.allclose(reads, diagonal, atol=1e-12)
+        if leak == 1.0:
+            assert reads is None
 
     def test_json_dict(self, registry):
         _, _, _, sz = _pauli()

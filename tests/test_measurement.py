@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contextqm.algebra import AlgebraDescriptor, AlgebraElement, commutator, norm, spectrum
+from contextqm.algebra import (
+    AlgebraDescriptor,
+    AlgebraElement,
+    commutator,
+    norm,
+    spectral_decomposition,
+    spectrum,
+)
 from contextqm.contexts import (
     ContextRegistry,
     IncompatibleObservableError,
@@ -22,6 +30,7 @@ from contextqm.measurement import (
     transcript_to_json_dict,
 )
 from contextqm.states import ElementaryState, construct_state, is_stable
+from conftest import random_hermitian, random_unit_vector
 
 
 @pytest.fixture
@@ -127,8 +136,71 @@ class TestSingleMeasurement:
         target[0 if v == 1.0 else 1] = 1.0
         assert np.allclose(np.abs(phi.attached_vector), target, atol=1e-12)
 
+    def test_zero_weight_projection_raises_and_keeps_state(self):
+        registry = ContextRegistry()
+        gen = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], AlgebraDescriptor(3))
+        ctx = context_from_observable(gen, registry)
+        phi = construct_state({ctx.id: 0}, registry)
+        phi.attach_state(ctx.basis[:, 2])  # the value-1 eigenvector; layer 0 reads 3
+        layers, stable, vector = dict(phi.layers), dict(phi.stable), phi.attached_vector
+        with pytest.raises(ValueError, match="no weight"):
+            measure(phi, Instrument(ctx, "probe"), gen)
+        assert phi.layers == layers and phi.stable == stable
+        assert phi.attached_vector is vector
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        levels=st.integers(1, 3),
+    )
+    def test_projection_matches_spectral_projector(self, seed, n, levels):
+        # a degenerate observable of a random context: the basis vectors
+        # reading the value span the eigenspace the eigensolver finds
+        rng = np.random.default_rng(seed)
+        ctx = context_from_observable(random_hermitian(n, rng), ContextRegistry())
+        diagonal = rng.integers(0, levels, size=n).astype(float)
+        element = AlgebraElement((ctx.basis * diagonal) @ ctx.basis.conj().T, ctx.algebra)
+        vector = random_unit_vector(n, rng)
+        phi = ElementaryState(rng=rng, attached_vector=vector)
+        value, phi = measure(phi, Instrument(ctx, "probe"), element, rng=rng)
+        _, projector = min(
+            spectral_decomposition(element).pairs, key=lambda pair: abs(pair[0] - value)
+        )
+        image = projector.matrix @ vector
+        expected = image / np.linalg.norm(image)
+        assert np.abs(phi.attached_vector - expected).max() <= 1e-12
+
 
 class TestSequences:
+    def test_criterion_four_plan_runs_without_eigensolves(self, shared_setup, monkeypatch):
+        alg, ctx1, ctx2, shared = shared_setup
+        gen1 = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg)
+        inst1, inst1b, inst2 = (
+            Instrument(ctx1, "first"),
+            Instrument(ctx1, "first-twin"),
+            Instrument(ctx2, "second"),
+        )
+        plan = [(inst1, shared), (inst1, shared), (inst2, shared), (inst1b, shared)]
+        plan += [(inst1, gen1), (inst1, shared)] * 2
+        solved = []
+
+        def spy(solver):
+            def wrapped(a, *args, **kwargs):
+                solved.append(np.shape(a))
+                return solver(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            phi = ElementaryState(rng=rng, attached_vector=random_unit_vector(3, rng))
+            records = run_sequence(phi, plan, rng=rng)
+            assert records[0].value == records[1].value == records[2].value
+        assert solved == []
+
     def test_alternating_compatible_pairs_repeat_exactly(self, shared_setup):
         alg, ctx1, _, _ = shared_setup
         a = AlgebraElement.from_diagonal([1.0, 2.0, 3.0], alg)
@@ -353,6 +425,13 @@ class TestRayCatalogue:
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,0.0\n")
         with pytest.raises(ValueError):
+            load_ray_csv(bad)
+
+    @pytest.mark.parametrize("bad_line", ["nan,0,1", "inf,0,1", "1,0,x", "1,0,0,0"])
+    def test_load_ray_csv_names_the_bad_line(self, tmp_path, bad_line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# header\n0,1,0\n{bad_line}\n")
+        with pytest.raises(ValueError, match="line 3"):
             load_ray_csv(bad)
 
     def test_load_ray_csv_rejects_zero_vector(self, tmp_path):

@@ -297,6 +297,15 @@ class TestSourceFunction:
         assert loaded.grid.steps == 21
         assert np.allclose(loaded.samples, src.samples, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "bad_line", ["0.2,1.0,5.0", "0.2,nan", "0.2,-inf", "0.2", "0.2,one"]
+    )
+    def test_csv_names_the_bad_line(self, tmp_path, bad_line):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# t,j(t)\n0.0,1.0\n0.1,1.0\n{bad_line}\n")
+        with pytest.raises(ValueError, match="line 4"):
+            SourceFunction.from_csv(path)
+
     def test_csv_rejects_uneven_spacing(self, tmp_path):
         path = tmp_path / "uneven.csv"
         path.write_text("0.0,1.0\n0.1,1.0\n0.35,1.0\n")
