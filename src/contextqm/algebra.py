@@ -10,7 +10,6 @@ after construction.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,7 +388,3 @@ def element_from_json_dict(doc: dict) -> AlgebraElement:
         dtype=np.complex128,
     )
     return AlgebraElement(mat, algebra)
-
-
-def element_to_json(element: AlgebraElement) -> str:
-    return json.dumps(element_to_json_dict(element), sort_keys=True)

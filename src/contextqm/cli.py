@@ -64,7 +64,7 @@ def _stopwatch(t0: float):
 
 seed_option = click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(min=0),
     default=0,
     show_default=True,
     envvar="CONTEXTQM_SEED",

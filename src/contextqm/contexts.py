@@ -11,6 +11,8 @@ carries the same identity.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,7 +70,7 @@ class Context:
     which guarantees one object per physical context.
     """
 
-    __slots__ = ("id", "algebra", "basis", "fingerprint")
+    __slots__ = ("id", "algebra", "basis")
 
     def __init__(self, id: str, algebra: AlgebraDescriptor, basis: np.ndarray):
         self.id = id
@@ -76,9 +78,11 @@ class Context:
         basis = np.array(basis, dtype=np.complex128)
         basis.flags.writeable = False
         self.basis = basis
-        fp = np.sort(np.abs(basis).ravel())
-        fp.flags.writeable = False
-        self.fingerprint = fp
+
+    @property
+    def fingerprint(self) -> np.ndarray:
+        """Sorted magnitudes of all basis components (computed per call)."""
+        return _magnitudes(self.basis)
 
     @property
     def dimension(self) -> int:
@@ -119,6 +123,12 @@ class Context:
 
     def __repr__(self):
         return f"Context(id={self.id!r}, dim={self.dimension})"
+
+
+def _magnitudes(basis: np.ndarray) -> np.ndarray:
+    """The fingerprint: sorted component magnitudes, blind to column order
+    and per-column phases."""
+    return np.sort(np.abs(basis).ravel())
 
 
 def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
@@ -179,23 +189,28 @@ class ContextRegistry:
     """Interning store for contexts, keyed by canonical-basis fingerprint.
 
     The fingerprint (sorted magnitudes of all basis components) is
-    invariant under column order and per-vector phases; it prefilters a
-    linear scan, and candidates are confirmed by an explicit
-    permutation-and-phase basis match before an id is reused.  Writes are
+    invariant under column order and per-vector phases.  Each algebra keeps
+    its contexts sorted by the fingerprint's sum s: bases whose
+    fingerprints agree within ``tolerance`` entry by entry have sums within
+    size * tolerance, so a bisected window of s holds every candidate.
+    Candidates are tried in creation order, and confirmed by an explicit
+    permutation-and-phase basis match before an id is reused, so the first
+    match is the one a scan over all contexts would find.  Writes are
     serialized by a lock; lookups of immutable contexts are safe to share.
     """
 
     def __init__(self, tolerance: float = FINGERPRINT_TOL):
         self.tolerance = float(tolerance)
         self._lock = threading.Lock()
-        self._contexts: list[Context] = []
-        self._by_id: dict[str, Context] = {}
+        self._by_id: dict[str, Context] = {}  # in creation order
+        # per algebra: (fingerprint sum, creation index, context), sorted
+        self._by_sum: dict[AlgebraDescriptor, list[tuple[float, int, Context]]] = {}
 
     def __len__(self) -> int:
-        return len(self._contexts)
+        return len(self._by_id)
 
     def __iter__(self):
-        return iter(list(self._contexts))
+        return iter(list(self._by_id.values()))
 
     def get(self, context_id: str) -> Context:
         try:
@@ -206,28 +221,40 @@ class ContextRegistry:
     def register(self, basis: np.ndarray, algebra: AlgebraDescriptor) -> Context:
         """Return the context for ``basis``, creating it if unseen.
 
-        Bases closer than the registry tolerance (after phase and order
-        normalization) are identified; the match tolerance on overlaps is
-        a generous multiple of the fingerprint tolerance, far below any
-        separation between genuinely distinct contexts in practice.
+        ``basis`` must be an n x n orthonormal matrix for the algebra's
+        dimension n; anything else (including NaN or inf entries) raises
+        ``ValueError``.  Bases closer than the registry tolerance (after
+        phase and order normalization) are identified; the match tolerance
+        on overlaps is a generous multiple of the fingerprint tolerance, far
+        below any separation between genuinely distinct contexts in practice.
         """
         basis = np.asarray(basis, dtype=np.complex128)
+        n = algebra.dimension
+        if basis.shape != (n, n):
+            raise ValueError(f"basis has shape {basis.shape}, expected ({n}, {n})")
+        if not np.isfinite(basis).all():
+            raise ValueError("basis has non-finite entries")
         gram = basis.conj().T @ basis
-        defect = np.abs(gram - np.eye(basis.shape[1])).max(initial=0.0)
-        if defect > ORTHONORMALITY_TOL:
+        defect = np.abs(gram - np.eye(n)).max(initial=0.0)
+        if not defect <= ORTHONORMALITY_TOL:  # a NaN defect is not orthonormal
             raise ValueError(f"basis is not orthonormal (defect {defect:.2e})")
-        fp = np.sort(np.abs(basis).ravel())
+        fp = _magnitudes(basis)
+        s = float(fp.sum())
+        # twice the size * tolerance bound, so rounding in the sums loses no one
+        reach = 2.0 * fp.size * self.tolerance
         match_tol = 1000.0 * self.tolerance
         with self._lock:
-            for ctx in self._contexts:
-                if ctx.algebra != algebra:
-                    continue
+            keyed = self._by_sum.setdefault(algebra, [])
+            lo = bisect_left(keyed, s - reach, key=itemgetter(0))
+            hi = bisect_right(keyed, s + reach, key=itemgetter(0))
+            for _, _, ctx in sorted(keyed[lo:hi], key=itemgetter(1)):
                 if np.abs(ctx.fingerprint - fp).max(initial=0.0) > self.tolerance:
                     continue
                 if _bases_match(ctx.basis, basis, match_tol):
                     return ctx
-            ctx = Context(f"ctx-{len(self._contexts)}", algebra, basis)
-            self._contexts.append(ctx)
+            index = len(self._by_id)
+            ctx = Context(f"ctx-{index}", algebra, basis)
+            insort(keyed, (s, index, ctx))
             self._by_id[ctx.id] = ctx
             return ctx
 

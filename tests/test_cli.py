@@ -278,3 +278,25 @@ class TestReportEnvelope:
         joined = "\n".join(comments)
         assert "command: ks-search" in joined
         assert "schema_version: 1" in joined
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize(
+        "args",
+        [["spin-demo", "--seed", "-1"], ["gns-check", "--seed", "-2"], ["green", "--seed", "-1"]],
+        ids=["spin-demo", "gns-check", "green"],
+    )
+    def test_negative_seed_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "--seed" in result.stderr
+        assert result.stdout == ""
+
+    def test_negative_env_seed_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["ks-search"], env={"CONTEXTQM_SEED": "-3"})
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stdout == ""

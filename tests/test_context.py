@@ -1,13 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, commutator, norm
 from contextqm.contexts import (
+    FINGERPRINT_TOL,
     Context,
     ContextRegistry,
     DegenerateObservableError,
     NonCommutingFamilyError,
+    _bases_match,
     canonical_basis,
     contains,
     context_from_family,
@@ -182,6 +187,25 @@ class TestRegistryInterning:
         with pytest.raises(ValueError):
             registry.register(bad, AlgebraDescriptor(2))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_basis_rejected(self, registry, entry):
+        bad = np.eye(3, dtype=complex)
+        bad[1, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            registry.register(bad, AlgebraDescriptor(3))
+        assert len(registry) == 0
+
+    def test_too_few_columns_rejected(self, registry):
+        # orthonormal columns, but only two of them for a 3-dim algebra
+        with pytest.raises(ValueError, match="shape"):
+            registry.register(np.eye(3)[:, :2], AlgebraDescriptor(3))
+        assert len(registry) == 0
+
+    def test_basis_of_another_dimension_rejected(self, registry):
+        with pytest.raises(ValueError, match="shape"):
+            registry.register(np.eye(2), AlgebraDescriptor(3))
+        assert len(registry) == 0
+
     def test_classical_algebra_has_single_context(self, registry):
         alg = AlgebraDescriptor(3, (1, 1, 1))
         a = AlgebraElement.from_diagonal([1.0, 2.0, 3.0], alg)
@@ -274,3 +298,165 @@ class TestContextApi:
         assert d["id"] == ctx.id
         assert d["dimension"] == 2
         assert len(d["basis"]) == 2
+
+
+def _fixed_basis():
+    # two Pythagorean rotations and column phases: exact entries, no eigensolver
+    r1 = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    r2 = np.array([[1.0, 0.0, 0.0], [0.0, 5 / 13, -12 / 13], [0.0, 12 / 13, 5 / 13]])
+    return (r1 @ r2) * np.array([1.0, 1j, -1j])
+
+
+def _random_unitary(n, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _rotation(h):
+    """t -> exp(i t h) for a Hermitian matrix h, in closed form."""
+    values, vectors = np.linalg.eigh(h)
+    return lambda t: (vectors * np.exp(1j * t * values)) @ vectors.conj().T
+
+
+def _random_rotation(n, rng):
+    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return _rotation(raw + raw.conj().T)
+
+
+class _ScanRegistry:
+    """Test oracle: the linear scan that the registry's sorted key replaced.
+
+    It returns the id of the first context, in creation order, of the same
+    algebra whose fingerprint is within tolerance and whose basis matches;
+    otherwise it creates the next id.
+    """
+
+    def __init__(self, tolerance=FINGERPRINT_TOL):
+        self.tolerance = tolerance
+        self.algebras, self.fingerprints, self.bases = [], [], []
+
+    def register(self, basis, algebra):
+        basis = np.asarray(basis, dtype=np.complex128)
+        fp = np.sort(np.abs(basis).ravel())
+        same = [k for k, known in enumerate(self.algebras) if known == algebra]
+        if same:
+            gaps = np.abs(np.array([self.fingerprints[k] for k in same]) - fp).max(axis=1)
+            for k in np.asarray(same)[~(gaps > self.tolerance)]:
+                if _bases_match(self.bases[k], basis, 1000.0 * self.tolerance):
+                    return f"ctx-{k}"
+        self.algebras.append(algebra)
+        self.fingerprints.append(fp)
+        self.bases.append(basis)
+        return f"ctx-{len(self.bases) - 1}"
+
+
+def _fingerprint_gap(a, b):
+    return np.abs(np.sort(np.abs(a).ravel()) - np.sort(np.abs(b).ravel())).max()
+
+
+def _fingerprint_sum_gap(a, b):
+    return abs(np.abs(a).sum() - np.abs(b).sum())
+
+
+def _scaled_rotation(basis, rotation, gap, target):
+    """rotation(t) @ basis with t chosen (to first order) so that
+    gap(basis, result) equals ``target``."""
+    probe = 1e-6
+    t = probe * target / gap(basis, rotation(probe) @ basis)
+    return rotation(t) @ basis
+
+
+class TestSortedKeyLookup:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), others=st.integers(0, 3))
+    def test_returns_what_the_scan_returns(self, seed, n, others):
+        rng = np.random.default_rng(seed)
+        alg = AlgebraDescriptor(n)
+        base = _random_unitary(n, rng)
+        size = n * n
+        bases = [_random_unitary(n, rng) for _ in range(others)] + [base]
+        for scale in (0.1, 0.5, 0.9, 1.0, 1.1, 1000.0):
+            # fingerprints within, at and beyond tolerance, down to 1000 tol
+            rotation = _random_rotation(n, rng)
+            target = scale * FINGERPRINT_TOL
+            bases.append(_scaled_rotation(base, rotation, _fingerprint_gap, target))
+        for scale in (0.5, 1.0, 1.9, 2.0, 2.1):
+            # fingerprint sums near the edge of the bisect window
+            rotation = _random_rotation(n, rng)
+            target = scale * size * FINGERPRINT_TOL
+            bases.append(_scaled_rotation(base, rotation, _fingerprint_sum_gap, target))
+        # reorder and rephase the copies' columns: the same contexts
+        bases += [
+            b[:, rng.permutation(n)] * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+            for b in bases[others:]
+        ]
+        registry, oracle = ContextRegistry(), _ScanRegistry()
+        got = [registry.register(b, alg).id for b in bases]
+        assert got == [oracle.register(b, alg) for b in bases]
+        assert len(registry) == len(set(got))
+
+    def test_earliest_candidate_wins_over_a_closer_sum(self):
+        rng = np.random.default_rng(5)
+        alg = AlgebraDescriptor(4)
+        a = _random_unitary(4, rng)
+        rotation = _random_rotation(4, rng)
+        probe = 1e-6
+        t = probe * 1.5 * FINGERPRINT_TOL / _fingerprint_gap(a, rotation(probe) @ a)
+        b, b_minus = rotation(t) @ a, rotation(-t) @ a
+        # b and b_minus fall on either side of a in the sorted list, so for
+        # one of the queries a later context is visited first unless the
+        # window is walked in creation order
+        assert (np.abs(b).sum() - np.abs(a).sum()) * (np.abs(b_minus).sum() - np.abs(a).sum()) < 0
+        queries = [a, b, b_minus, rotation(0.5 * t) @ a, rotation(-0.5 * t) @ a]
+        registry, oracle = ContextRegistry(), _ScanRegistry()
+        got = [registry.register(q, alg).id for q in queries]
+        assert got == [oracle.register(q, alg) for q in queries]
+        assert got == ["ctx-0", "ctx-1", "ctx-2", "ctx-0", "ctx-0"]
+
+    def test_window_holds_a_sum_moved_by_most_of_its_bound(self):
+        # exp(i t (J - I)) moves each of the n(n-1) off-diagonal magnitudes of
+        # the identity basis from 0 to t, and the n diagonal ones only to
+        # second order: with t = 0.9 tol no fingerprint entry moves by more
+        # than tol, but the sum moves by 0.9 (n-1)/n of size * tol
+        n = 6
+        alg = AlgebraDescriptor(n)
+        near = _rotation(np.ones((n, n)) - np.eye(n))(0.9 * FINGERPRINT_TOL)
+        assert _fingerprint_gap(np.eye(n), near) <= FINGERPRINT_TOL
+        assert _fingerprint_sum_gap(np.eye(n), near) > 0.7 * n * n * FINGERPRINT_TOL
+        registry, oracle = ContextRegistry(), _ScanRegistry()
+        got = [registry.register(b, alg).id for b in (np.eye(n), near)]
+        assert got == [oracle.register(b, alg) for b in (np.eye(n), near)]
+        assert got == ["ctx-0", "ctx-0"]
+
+    def test_interpolation_sweep_ids_match_the_scan(self):
+        rng = np.random.default_rng(11)
+        a1, a2 = random_hermitian(6, rng), random_hermitian(6, rng)
+        angles = rng.uniform(0.0, np.pi, 1000)
+        # then revisit some angles exactly and some within 1e-12
+        revisits = rng.choice(angles, 200, replace=False)
+        angles = np.concatenate([angles, revisits[:100], revisits[100:] + 1e-12])
+        registry, oracle = ContextRegistry(), _ScanRegistry()
+        got, expected = [], []
+        for alpha in angles:
+            g = interpolated_generator(a1, a2, float(alpha))
+            # the basis context_from_observable registers, given to both routes
+            basis = canonical_basis(np.linalg.eigh(g.matrix)[1], [g])
+            got.append(registry.register(basis, g.algebra).id)
+            expected.append(oracle.register(basis, g.algebra))
+        assert got == expected
+        assert len(registry) == 1000
+        first = {alpha: k for k, alpha in enumerate(angles[:1000])}
+        assert got[1000:] == [got[first[alpha]] for alpha in revisits]
+
+    def test_fingerprint_and_json_keep_their_bytes(self, registry):
+        ctx = registry.register(_fixed_basis(), AlgebraDescriptor(3))
+        fp = ctx.fingerprint
+        assert fp.dtype == np.float64 and fp.shape == (9,)
+        assert np.array_equal(fp, np.sort(np.abs(ctx.basis).ravel()))
+        assert hashlib.sha256(fp.tobytes()).hexdigest() == (
+            "18c4e660e16bde9ec3f43f7cff85e4e0ba24383cd03115e4b5b4636ee9c0a395"
+        )
+        doc = json.dumps(ctx.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == (
+            "b0ea788a309e9af30a4cd5a16e9cf1561c54b104a3152ead5d5c6c45400fc1d5"
+        )
