@@ -113,9 +113,15 @@ class AlgebraElement:
     then zeroed exactly so products preserve the structure bit-for-bit.
     Supports ``+``, ``-``, scalar ``*``, and ``@`` / ``*`` for the
     algebra product.
+
+    Two derived slots start empty and are filled on first use, so they
+    live exactly as long as the element: ``_eigh``, the read-only result
+    of one ``np.linalg.eigh`` of the matrix (see :func:`_eigh`), and
+    ``_context``, the context this element generated in a registry (see
+    ``contexts.context_from_observable``).
     """
 
-    __slots__ = ("matrix", "algebra")
+    __slots__ = ("matrix", "algebra", "_eigh", "_context")
 
     def __init__(self, matrix, algebra: AlgebraDescriptor):
         mat = _as_matrix(matrix, algebra.dimension)
@@ -128,6 +134,8 @@ class AlgebraElement:
         mat.flags.writeable = False
         self.matrix = mat
         self.algebra = algebra
+        self._eigh = None
+        self._context = None
 
     # -- constructors ------------------------------------------------------
 
@@ -259,6 +267,17 @@ def _grouped(values: np.ndarray, tolerance: float) -> list[list[int]]:
     return groups
 
 
+def _eigh(element: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(values, vectors)`` of ``np.linalg.eigh(element.matrix)``,
+    solved once per element: the matrix is immutable, so is the result."""
+    if element._eigh is None:
+        values, vectors = np.linalg.eigh(element.matrix)
+        values.flags.writeable = False
+        vectors.flags.writeable = False
+        element._eigh = (values, vectors)
+    return element._eigh
+
+
 def spectrum(element: AlgebraElement, tolerance: float = GROUPING_TOL) -> list[float]:
     """Sorted distinct eigenvalues of a Hermitian element.
 
@@ -269,7 +288,7 @@ def spectrum(element: AlgebraElement, tolerance: float = GROUPING_TOL) -> list[f
     viewed in.
     """
     _require_hermitian(element, "spectrum")
-    values = np.linalg.eigh(element.matrix)[0]
+    values = _eigh(element)[0]
     return [float(np.mean(values[g])) for g in _grouped(values, tolerance)]
 
 
@@ -283,7 +302,7 @@ def spectral_decomposition(
     element and sum to the identity.
     """
     _require_hermitian(element, "spectral_decomposition")
-    values, vectors = np.linalg.eigh(element.matrix)
+    values, vectors = _eigh(element)
     pairs = []
     for g in _grouped(values, tolerance):
         vecs = vectors[:, g]

@@ -243,7 +243,9 @@ def ks_search(ray_file, pair_rule, seed, out, fmt):
     default=None,
     help="Comma-separated times (count must equal --n); default: seeded uniform in [-5, 5].",
 )
-@click.option("--cutoff", type=int, default=None, help="Truncation size (default n+6).")
+@click.option(
+    "--cutoff", type=int, default=None, help="Truncation size (default n+6, at most 512)."
+)
 @seed_option
 @out_option
 @format_option

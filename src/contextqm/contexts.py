@@ -10,7 +10,9 @@ carries the same identity.
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 
@@ -19,6 +21,7 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     AlgebraElement,
+    _eigh,
     _grouped,
     _require_hermitian,
     commutator,
@@ -197,10 +200,14 @@ class ContextRegistry:
     permutation-and-phase basis match before an id is reused, so the first
     match is the one a scan over all contexts would find.  Writes are
     serialized by a lock; lookups of immutable contexts are safe to share.
+    ``tolerance`` must be finite and positive.
     """
 
     def __init__(self, tolerance: float = FINGERPRINT_TOL):
-        self.tolerance = float(tolerance)
+        tolerance = float(tolerance)
+        if not (math.isfinite(tolerance) and tolerance > 0.0):
+            raise ValueError(f"registry tolerance must be finite and > 0, got {tolerance!r}")
+        self.tolerance = tolerance
         self._lock = threading.Lock()
         self._by_id: dict[str, Context] = {}  # in creation order
         # per algebra: (fingerprint sum, creation index, context), sorted
@@ -218,7 +225,9 @@ class ContextRegistry:
         except KeyError:
             raise KeyError(f"unknown context id {context_id!r}") from None
 
-    def register(self, basis: np.ndarray, algebra: AlgebraDescriptor) -> Context:
+    def register(
+        self, basis: np.ndarray, algebra: AlgebraDescriptor, members=()
+    ) -> Context:
         """Return the context for ``basis``, creating it if unseen.
 
         ``basis`` must be an n x n orthonormal matrix for the algebra's
@@ -227,6 +236,10 @@ class ContextRegistry:
         phase and order normalization) are identified; the match tolerance
         on overlaps is a generous multiple of the fingerprint tolerance, far
         below any separation between genuinely distinct contexts in practice.
+        A matching context is reused only if it contains every element of
+        ``members`` (the observables that generated ``basis``): the match
+        tolerances are looser than membership, so a near match can miss a
+        generator, and then ``basis`` gets a context of its own.
         """
         basis = np.asarray(basis, dtype=np.complex128)
         n = algebra.dimension
@@ -250,7 +263,9 @@ class ContextRegistry:
             for _, _, ctx in sorted(keyed[lo:hi], key=itemgetter(1)):
                 if np.abs(ctx.fingerprint - fp).max(initial=0.0) > self.tolerance:
                     continue
-                if _bases_match(ctx.basis, basis, match_tol):
+                if _bases_match(ctx.basis, basis, match_tol) and all(
+                    ctx.diagonal_values(m) is not None for m in members
+                ):
                     return ctx
             index = len(self._by_id)
             ctx = Context(f"ctx-{index}", algebra, basis)
@@ -269,15 +284,24 @@ def context_from_observable(
     The observable's eigenbasis is the joint eigenbasis; a degenerate
     spectrum leaves the maximal extension ambiguous and is rejected —
     callers must supply a completing family instead.
+
+    The answer is kept on the element for this registry and ``tolerance``:
+    the registry only appends and returns the first match in creation
+    order, so a later call could only find the same context again.
     """
+    memo = element._context
+    if memo is not None and memo[0]() is registry and memo[1] == tolerance:
+        return memo[2]
     _require_hermitian(element, "context_from_observable")
-    values, vectors = np.linalg.eigh(element.matrix)
+    values, vectors = _eigh(element)
     if any(len(g) > 1 for g in _grouped(values, tolerance)):
         raise DegenerateObservableError(
             "observable has a degenerate spectrum; supply a completing family"
         )
     basis = canonical_basis(vectors, [element])
-    return registry.register(basis, element.algebra)
+    ctx = registry.register(basis, element.algebra, members=(element,))
+    element._context = (weakref.ref(registry), tolerance, ctx)
+    return ctx
 
 
 def context_from_family(
@@ -330,7 +354,7 @@ def context_from_family(
         )
     vectors = np.hstack(subspaces)
     basis = canonical_basis(vectors, family)
-    return registry.register(basis, algebra)
+    return registry.register(basis, algebra, members=family)
 
 
 def contains(ctx: Context, element: AlgebraElement) -> bool:

@@ -42,6 +42,9 @@ __all__ = [
 # not a cost limit (the hafnian recursion scales as n 2^n): the cap is the
 # CLI's ``green --n`` range, which the CLI tests pin
 MAX_WICK_ORDER = 12
+# the oracle multiplies dense cutoff x cutoff complex matrices: 512 levels
+# take 4 MiB each, and any cutoff above the order is already exact
+MAX_FOCK_CUTOFF = 512
 
 
 class CoarseGridWarning(UserWarning):
@@ -161,7 +164,8 @@ def fock_oracle_green(times, omega: float, cutoff: int | None = None) -> complex
     result is the vacuum-vacuum matrix element, i.e. the coefficient
     multiplying the ground projector after compressing the ordered
     product.  Position couples adjacent levels only, so any cutoff above
-    the order is exact; the default keeps a margin of 6.
+    the order is exact; the default keeps a margin of 6.  A cutoff above
+    MAX_FOCK_CUTOFF is rejected.
     """
     times = [float(t) for t in times]
     n = len(times)
@@ -169,6 +173,8 @@ def fock_oracle_green(times, omega: float, cutoff: int | None = None) -> complex
         cutoff = n + 6
     if cutoff < n + 2:
         raise ValueError(f"cutoff {cutoff} too small for an order-{n} correlation")
+    if cutoff > MAX_FOCK_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds the cap {MAX_FOCK_CUTOFF}")
     if n == 0:
         return 1.0 + 0.0j
     fock = FockTruncation(cutoff, omega)

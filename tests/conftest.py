@@ -9,6 +9,23 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Shapes of the matrices handed to any numpy eigensolver, in order."""
+    solved = []
+
+    def spy(solver):
+        def wrapped(a, *args, **kwargs):
+            solved.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    return solved
+
+
 def random_element(n, rng, algebra=None):
     """Generic (non-Hermitian) element of the full n x n algebra."""
     algebra = algebra or AlgebraDescriptor(n)

@@ -6,6 +6,7 @@ from contextqm.algebra import (
     AlgebraDescriptor,
     AlgebraElement,
     NonHermitianError,
+    _eigh,
     adjoint,
     check_positivity_structure,
     commutator,
@@ -132,6 +133,30 @@ class TestSpectrum:
         alg = AlgebraDescriptor(2)
         e = AlgebraElement.from_diagonal([1.0, 1.0 + 1e-12], alg)
         assert len(spectrum(e)) == 1
+
+
+class TestOneEigensolvePerElement:
+    def test_eigh_is_kept_read_only_and_equals_a_fresh_solve(self, rng):
+        h = random_hermitian(4, rng)
+        values, vectors = _eigh(h)
+        assert not values.flags.writeable and not vectors.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        with pytest.raises(ValueError):
+            vectors[0, 0] = 0.0
+        again = _eigh(h)
+        assert again[0] is values and again[1] is vectors
+        fresh_values, fresh_vectors = np.linalg.eigh(h.matrix)
+        assert np.array_equal(values, fresh_values)
+        assert np.array_equal(vectors, fresh_vectors)
+
+    def test_spectrum_and_decomposition_share_one_solve(self, rng, eigensolves):
+        h = random_hermitian(5, rng)
+        points = spectrum(h)
+        decomposition = spectral_decomposition(h)
+        assert spectrum(h) == points
+        assert list(decomposition.eigenvalues) == points
+        assert eigensolves == [(5, 5)]
 
 
 class TestSpectralDecomposition:

@@ -174,6 +174,12 @@ class TestGreen:
         assert "Traceback" not in result.output
         assert result.stdout == ""
 
+    def test_cutoff_above_the_cap_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["green", "--n", "2", "--cutoff", "513"])
+        assert result.exit_code == 2
+        assert "exceeds the cap 512" in result.output
+        assert result.stdout == ""
+
     def test_routes_agree_on_random_times(self, runner):
         for seed in (1, 2, 3):
             report = _report(

@@ -1,16 +1,20 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contextqm import contexts
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, commutator, norm
 from contextqm.contexts import (
     FINGERPRINT_TOL,
     Context,
     ContextRegistry,
     DegenerateObservableError,
+    IncompatibleObservableError,
     NonCommutingFamilyError,
     _bases_match,
     canonical_basis,
@@ -19,6 +23,8 @@ from contextqm.contexts import (
     context_from_observable,
     interpolated_generator,
 )
+from contextqm.ensembles import QuantumState, ensemble_average
+from contextqm.states import ElementaryState
 from conftest import random_hermitian, random_unit_vector
 
 
@@ -460,3 +466,167 @@ class TestSortedKeyLookup:
         assert hashlib.sha256(doc).hexdigest() == (
             "b0ea788a309e9af30a4cd5a16e9cf1561c54b104a3152ead5d5c6c45400fc1d5"
         )
+
+
+class TestRegistryTolerance:
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            ContextRegistry(tolerance)
+
+    @pytest.mark.parametrize("tolerance", [FINGERPRINT_TOL, 1e-4])
+    def test_distinct_bases_stay_apart_and_repeats_match(self, tolerance):
+        rng = np.random.default_rng(3)
+        alg = AlgebraDescriptor(4)
+        bases = [_random_unitary(4, rng) for _ in range(6)]
+        registry = ContextRegistry(tolerance)
+        ids = [registry.register(b, alg).id for b in bases + bases]
+        assert ids == [f"ctx-{k}" for k in range(6)] * 2
+
+
+class TestMemberRule:
+    @pytest.mark.parametrize(
+        "build",
+        [context_from_observable, lambda g, registry: context_from_family([g], registry)],
+        ids=["observable", "family"],
+    )
+    def test_near_generators_each_get_a_context_that_contains_them(self, build):
+        # the generators are 1.3e-8 apart in angle: their bases match to the
+        # registry's tolerances, but neither is diagonal in the other's basis
+        # to DIAGONAL_TOL for some seeds
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a1, a2 = random_hermitian(6, rng), random_hermitian(6, rng)
+            registry = ContextRegistry()
+            generators = [interpolated_generator(a1, a2, a) for a in (1.0, 1.0 + 1.3e-8)]
+            found = [build(g, registry) for g in generators]
+            assert [ctx.id for ctx in found] == ["ctx-0", "ctx-1"], seed
+            assert all(contains(ctx, g) for ctx, g in zip(found, generators)), seed
+
+    def test_register_reuses_a_match_only_if_it_contains_the_members(self):
+        alg = AlgebraDescriptor(2)
+        registry = ContextRegistry()
+        first = registry.register(np.eye(2), alg)
+        # a basis 5e-9 away: it matches the first, but an observable it
+        # diagonalizes has an off-diagonal entry of about 5e-9 there
+        tilted = _rotation(np.array([[0.0, -1j], [1j, 0.0]]))(5e-9)
+        member = AlgebraElement(tilted @ np.diag([0.0, 1.0]) @ tilted.conj().T, alg)
+        assert not contains(first, member)
+        assert registry.register(tilted, alg) is first
+        assert registry.register(tilted, alg, members=(AlgebraElement.identity(alg),)) is first
+        second = registry.register(tilted, alg, members=(member,))
+        assert second.id == "ctx-1" and contains(second, member)
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Counts of canonical_basis and ContextRegistry.register calls."""
+    calls = {"canonical_basis": 0, "register": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(contexts, "canonical_basis", counted("canonical_basis", canonical_basis))
+    monkeypatch.setattr(ContextRegistry, "register", counted("register", ContextRegistry.register))
+    return calls
+
+
+def _sweep_pair(seed=0, n=6):
+    rng = np.random.default_rng(seed)
+    return rng, random_hermitian(n, rng), random_hermitian(n, rng)
+
+
+class TestElementMemo:
+    def test_a_sweep_op_eigensolves_once(self, eigensolves):
+        # the context_sweep operation: register, re-register, draw a layer,
+        # average over 2000 samples
+        rng, a1, a2 = _sweep_pair()
+        psi = QuantumState(random_unit_vector(6, rng), a1.algebra)
+        registry = ContextRegistry()
+        phi = ElementaryState(rng=rng, attached_vector=psi.vector)
+        for alpha in rng.uniform(0.0, np.pi, 100):
+            g = interpolated_generator(a1, a2, alpha)
+            ctx = context_from_observable(g, registry)
+            assert context_from_observable(g, registry) is ctx
+            phi.ensure_layer(ctx)
+            report = ensemble_average(psi, g, ctx, 2000, rng)
+            assert sum(report.histogram.values()) == 2000
+        assert len(registry) == 100
+        assert eigensolves == [(6, 6)] * 100
+
+    def test_re_registering_does_no_work(self, eigensolves, layer_calls):
+        _, a1, a2 = _sweep_pair()
+        registry = ContextRegistry()
+        g = interpolated_generator(a1, a2, 0.3)
+        ctx = context_from_observable(g, registry)
+        assert len(eigensolves) == 1
+        assert layer_calls == {"canonical_basis": 1, "register": 1}
+        for _ in range(3):
+            assert context_from_observable(g, registry) is ctx
+        assert len(eigensolves) == 1
+        assert layer_calls == {"canonical_basis": 1, "register": 1}
+
+    def test_another_registry_misses(self, layer_calls):
+        _, a1, a2 = _sweep_pair()
+        g = interpolated_generator(a1, a2, 0.3)
+        first, other = ContextRegistry(), ContextRegistry()
+        other.register(np.eye(6), g.algebra)
+        ctx = context_from_observable(g, first)
+        calls = layer_calls["register"]
+        found = context_from_observable(g, other)
+        assert layer_calls["register"] == calls + 1
+        assert found is not ctx and other.get("ctx-1") is found
+        assert context_from_observable(g, first) is ctx
+        assert layer_calls["register"] == calls + 2
+
+    def test_a_collected_registry_misses(self, layer_calls):
+        _, a1, a2 = _sweep_pair()
+        g = interpolated_generator(a1, a2, 0.3)
+        registry = ContextRegistry()
+        context_from_observable(g, registry)
+        alive = weakref.ref(registry)
+        del registry
+        gc.collect()
+        assert alive() is None
+        fresh = ContextRegistry()
+        found = context_from_observable(g, fresh)
+        assert layer_calls["register"] == 2
+        assert fresh.get(found.id) is found and len(fresh) == 1
+
+    def test_another_tolerance_misses(self, registry):
+        # relative gap 1e-4 / 3: nondegenerate at 1e-9, degenerate at 1e-3
+        g = AlgebraElement.from_diagonal([1.0, 1.0 + 1e-4, 3.0], AlgebraDescriptor(3))
+        ctx = context_from_observable(g, registry)
+        with pytest.raises(DegenerateObservableError):
+            context_from_observable(g, registry, tolerance=1e-3)
+        assert context_from_observable(g, registry) is ctx
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from(["same", "copy", "near", "apart"])),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_ids_equal_the_unmemoized_route(self, seed, steps):
+        rng, a1, a2 = _sweep_pair(seed, n=4)
+        angles = rng.uniform(0.0, np.pi, 8)
+        offsets = {"copy": 0.0, "near": 1e-12, "apart": 1.3e-8}
+        first: dict[int, AlgebraElement] = {}
+        registry, oracle = ContextRegistry(), ContextRegistry()
+        for k, how in steps:
+            if how == "same" and k in first:
+                g = first[k]  # the same object: answered by its memo
+            else:
+                g = interpolated_generator(a1, a2, angles[k] + offsets.get(how, 0.0))
+                first.setdefault(k, g)
+            got = context_from_observable(g, registry).id
+            basis = canonical_basis(np.linalg.eigh(g.matrix)[1], [g])
+            assert got == oracle.register(basis, g.algebra, members=(g,)).id
+        assert len(registry) == len(oracle)

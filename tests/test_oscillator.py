@@ -10,6 +10,7 @@ from contextqm import oscillator
 from contextqm.algebra import AlgebraDescriptor
 from contextqm.gns import StateFunctional
 from contextqm.oscillator import (
+    MAX_FOCK_CUTOFF,
     MAX_WICK_ORDER,
     CoarseGridWarning,
     FockTruncation,
@@ -184,6 +185,13 @@ class TestFockOracle:
         a = fock_oracle_green(times, 1.0, cutoff=10)
         b = fock_oracle_green(times, 1.0, cutoff=16)
         assert abs(a - b) <= 1e-10
+
+    def test_cutoff_above_the_cap_rejected(self):
+        times = [0.2, -0.4]
+        at_cap = fock_oracle_green(times, 1.0, cutoff=MAX_FOCK_CUTOFF)
+        assert abs(at_cap - fock_oracle_green(times, 1.0)) <= 1e-10
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            fock_oracle_green(times, 1.0, cutoff=MAX_FOCK_CUTOFF + 1)
 
 
 class TestGroundProjectorLimit:
