@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,14 +77,9 @@ class AlgebraDescriptor:
     def is_full(self) -> bool:
         return len(self.block_sizes) == 1
 
-    @property
-    def is_classical(self) -> bool:
-        """True when every block is one-dimensional (commutative algebra)."""
-        return all(b == 1 for b in self.block_sizes)
-
     def block_slices(self) -> list[slice]:
-        edges = np.cumsum((0,) + self.block_sizes)
-        return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+        edges = (0, *accumulate(self.block_sizes))
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
     def block_mask(self) -> np.ndarray:
         """Boolean n x n mask that is True inside the diagonal blocks."""

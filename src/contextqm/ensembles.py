@@ -48,6 +48,8 @@ class QuantumState:
             raise ValueError(
                 f"vector length {vec.shape[0]} does not match dimension {algebra.dimension}"
             )
+        if not np.isfinite(vec).all():
+            raise ValueError("state vector has a NaN or infinite entry")
         length = np.linalg.norm(vec)
         if abs(length - 1.0) > 1e-6:
             raise ValueError(f"state vector is not normalized (norm {length:.3e})")
@@ -133,14 +135,6 @@ class EnsembleReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    CSV_HEADER = "observable,sample_count,empirical_mean,exact_mean,standard_error"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.observable_fingerprint},{self.sample_count},"
-            f"{self.empirical_mean!r},{self.exact_mean!r},{self.standard_error!r}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -40,26 +40,39 @@ RANK_CUTOFF = 1e-10
 class StateFunctional:
     """Linear positive normalized functional on a block matrix algebra.
 
-    Internally density-matrix-backed (every such functional on a matrix
-    algebra is trace(rho . )), but the representation is private: the
-    public face is only ``value``.
+    Every such functional is trace(rho .) and sees only the diagonal blocks
+    rho_b, so it keeps their projection and judges positivity on the
+    algebra, from one eigensolve per block; the kept eigenpairs give the
+    factors W_b = V_b sqrt(lambda_b), rho_b = W_b W_b*, that ``GnsSpace``
+    reads.  The representation is private: the public face is ``value``.
     """
 
-    __slots__ = ("_rho", "algebra")
+    __slots__ = ("_rho", "_factors", "algebra")
 
     def __init__(self, rho, algebra: AlgebraDescriptor):
         rho = np.array(rho, dtype=np.complex128)
         if rho.shape != (algebra.dimension, algebra.dimension):
             raise ValueError("density matrix shape does not match the algebra")
+        if not np.isfinite(rho).all():
+            raise ValueError("functional matrix has a NaN or infinite entry")
+        if not algebra.is_full:
+            rho[~algebra.block_mask()] = 0.0
         if np.abs(rho - rho.conj().T).max(initial=0.0) > 1e-12:
             raise ValueError("functional matrix must be Hermitian")
-        eigenvalues = np.linalg.eigvalsh(rho)
-        if eigenvalues[0] < -1e-12:
-            raise ValueError(
-                f"functional is not positive (min eigenvalue {eigenvalues[0]:.2e})"
-            )
+        spectra, top = _block_spectra(rho, algebra.block_slices())
+        lowest = min(float(values[0]) for values, _ in spectra)
+        if lowest < -1e-12:
+            raise ValueError(f"functional is not positive (min eigenvalue {lowest:.2e})")
         if abs(np.trace(rho).real - 1.0) > 1e-12:
             raise ValueError("functional is not normalized: Psi(I) != 1")
+        # The Gram form on matrix units is block-diag_b(I_{n_b} (x) rho_b^T),
+        # whose spectrum is each rho_b spectrum repeated n_b times: the rank
+        # cutoff on it is a cutoff on the rho_b eigenvalues.
+        cutoff = RANK_CUTOFF * max(top, 0.0)
+        self._factors = [
+            vectors[:, values > cutoff] * np.sqrt(values[values > cutoff])
+            for values, vectors in spectra
+        ]
         rho.flags.writeable = False
         self._rho = rho
         self.algebra = algebra
@@ -69,8 +82,8 @@ class StateFunctional:
         """The pure functional <tau, . tau> of a unit vector."""
         vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
         length = np.linalg.norm(vec)
-        if length <= 0.0:
-            raise ValueError("state vector must be nonzero")
+        if not 0.0 < length < np.inf:
+            raise ValueError("state vector must be nonzero, with no NaN or infinite entry")
         vec = vec / length
         return cls(np.outer(vec, vec.conj()), algebra)
 
@@ -135,32 +148,19 @@ def _block_diag(parts) -> np.ndarray:
 class GnsSpace:
     """The quotient Hilbert space of a functional, with its representation.
 
-    Built block by block from the functional's density matrix.  With the
-    kept eigenpairs of rho_b = rho[b, b] folded into W_b = V_b sqrt(lambda_b),
-    Psi(R* S) = sum_b <R_b W_b, S_b W_b>_HS, so the quotient is
-    sum_b C^{n_b} (x) range(rho_b): ``class_vector`` maps an element R to
-    the concatenated row-major vec(R_b W_b) (an r-vector), and
+    Built block by block from the functional's spectral factors W_b, with
+    rho_b = W_b W_b*: Psi(R* S) = sum_b <R_b W_b, S_b W_b>_HS, so the
+    quotient is sum_b C^{n_b} (x) range(rho_b): ``class_vector`` maps an
+    element R to the concatenated row-major vec(R_b W_b) (an r-vector), and
     ``represent`` maps S to left multiplication on classes,
     block-diag_b(S_b (x) I_{r_b}).  Pure data after construction.
     """
 
-    def __init__(self, functional: StateFunctional, tolerance: float = RANK_CUTOFF):
+    def __init__(self, functional: StateFunctional):
         self.functional = functional
         self.algebra = functional.algebra
-        self.tolerance = float(tolerance)
-        rho = functional._rho
         self._blocks = self.algebra.block_slices()
-        # The Gram form on matrix units is block-diag_b(I_{n_b} (x) rho_b^T),
-        # whose spectrum is each rho_b spectrum repeated n_b times: the rank
-        # cutoff on it is a cutoff on the rho_b eigenvalues.
-        spectra, top = _block_spectra(rho, self._blocks)
-        if min(float(values[0]) for values, _ in spectra) < -1e-10 * max(top, 1.0):
-            raise ValueError("functional induces a non-positive Gram form")
-        cutoff = self.tolerance * max(top, 0.0)
-        self._factors = [
-            vectors[:, values > cutoff] * np.sqrt(values[values > cutoff])
-            for values, vectors in spectra
-        ]
+        self._factors = functional._factors
         self.rank = sum(w.shape[0] * w.shape[1] for w in self._factors)
 
     @cached_property
@@ -205,20 +205,13 @@ class GnsSpace:
             "block_sizes": list(self.algebra.block_sizes),
             "units": len(matrix_units(self.algebra)),
             "rank": self.rank,
-            "tolerance": self.tolerance,
+            "tolerance": RANK_CUTOFF,
         }
 
 
-def build_gns(functional: StateFunctional, algebra: AlgebraDescriptor | None = None,
-              tolerance: float = RANK_CUTOFF) -> GnsSpace:
-    """Construct the GNS space of a functional.
-
-    ``algebra`` is accepted for signature clarity but must agree with the
-    functional's own algebra when given.
-    """
-    if algebra is not None and algebra != functional.algebra:
-        raise ValueError("functional is not defined on the requested algebra")
-    return GnsSpace(functional, tolerance=tolerance)
+def build_gns(functional: StateFunctional) -> GnsSpace:
+    """Construct the GNS space of a functional from its spectral factors."""
+    return GnsSpace(functional)
 
 
 def represent(space: GnsSpace, element: AlgebraElement) -> np.ndarray:

@@ -59,6 +59,7 @@ class Instrument:
 
     @property
     def type_id(self) -> str:
+        """The context id: a label that is only unique within one registry."""
         return self.context.id
 
 

@@ -84,6 +84,8 @@ class ElementaryState:
     distribution of the attached unit vector when one is present and
     uniformly otherwise.  Mutable; a simulation run must own it
     exclusively.
+    Layers are keyed by context id, unique only within one registry, so
+    a context from another registry than a stored layer's is rejected.
     """
 
     def __init__(self, rng=None, attached_vector: np.ndarray | None = None):
@@ -127,9 +129,15 @@ class ElementaryState:
                 ok &= agreeing(reads, record.value)
         return np.flatnonzero(ok)
 
+    def _stored_layer(self, ctx: Context) -> Character | None:
+        layer = self.layers.get(ctx.id)
+        if layer is not None and layer.context is not ctx:
+            raise ValueError(f"the state's layer {ctx.id} is another registry's context")
+        return layer
+
     def ensure_layer(self, ctx: Context, rng=None) -> Character:
         """Return the character for ctx, drawing one if absent."""
-        layer = self.layers.get(ctx.id)
+        layer = self._stored_layer(ctx)
         if layer is not None:
             return layer
         rng = rng if rng is not None else self.rng
@@ -164,6 +172,7 @@ class ElementaryState:
         return layer
 
     def set_layer(self, ctx: Context, index: int):
+        self._stored_layer(ctx)
         self.layers[ctx.id] = Character(ctx, index)
 
     # -- export --------------------------------------------------------------
@@ -266,7 +275,7 @@ def construct_stable_on(
     phi = ElementaryState(rng=rng)
     phi.set_layer(ctx, int(index))
     for other in other_contexts:
-        if other.id == ctx.id:
+        if other is ctx:
             continue
         component = _overlap_component(ctx, other, int(index))
         if component.size == 0:

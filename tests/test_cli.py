@@ -227,6 +227,16 @@ class TestGnsCheck:
         assert lines[0].startswith("n,trials,")
         assert lines[1].endswith(",true")
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_one_eigensolve_per_functional(self, runner, eigensolves, n):
+        # the 100 pure functionals and the tracial one eigensolve their single
+        # block once each, and building their GNS spaces adds none; the other
+        # 100 are the compression check's norm
+        result = runner.invoke(main, ["gns-check", "--n", str(n), "--trials", "100"])
+        assert result.exit_code == 0
+        assert len(eigensolves) == 201
+        assert set(eigensolves) == {(n, n)}
+
     def test_dimension_range_enforced(self, runner):
         result = runner.invoke(main, ["gns-check", "--n", "9"])
         assert result.exit_code != 0

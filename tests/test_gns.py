@@ -148,7 +148,9 @@ class TestClosedFormAgainstGramOracle:
     @pytest.mark.parametrize(
         "sizes, kind", [((4,), "pure"), ((4,), "tracial"), ((3, 2, 1), "mixed")]
     )
-    def test_eigensolves_never_exceed_largest_block(self, sizes, kind, monkeypatch):
+    def test_eigensolves_never_exceed_largest_block(self, sizes, kind, eigensolves):
+        # The functional eigensolves each diagonal block of rho exactly once,
+        # for positivity and its spectral factors; build_gns only reads them.
         alg = AlgebraDescriptor(sum(sizes), sizes)
         if kind == "pure":
             f = StateFunctional.from_vector(np.arange(1.0, 5.0), alg)
@@ -156,21 +158,73 @@ class TestClosedFormAgainstGramOracle:
             f = StateFunctional.tracial(alg)
         else:
             f, _ = _mixed_functional(list(sizes), 6, 9, 3)
-        solved = []
-
-        def spy(solver):
-            def wrapped(a, *args, **kwargs):
-                solved.append(np.shape(a)[-1])
-                return solver(a, *args, **kwargs)
-
-            return wrapped
-
-        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        assert eigensolves == [(b, b) for b in sizes]
+        assert max(shape[-1] for shape in eigensolves) <= max(sizes)
+        del eigensolves[:]
         space = build_gns(f)
-        assert solved and max(solved) <= max(sizes)
+        assert eigensolves == []
         expected = alg.dimension if kind == "pure" else sum(b * b for b in sizes)
         assert space.rank == expected
+
+
+class TestPositivityOnTheAlgebra:
+    def test_positive_block_functional_with_indefinite_rho_accepted(self):
+        # a -> (a11 + a22) / 2 on the diagonal algebra: rho itself has the
+        # eigenvalue -0.5, but the functional only sees its diagonal blocks
+        alg = AlgebraDescriptor(2, (1, 1))
+        f = StateFunctional([[0.5, 1.0], [1.0, 0.5]], alg)
+        assert build_gns(f).rank == 2 == _gram_oracle_rank(f)
+        a = AlgebraElement.from_diagonal([3.0, -1.0], alg)
+        assert f.value(a) == 1.0
+        # Hermiticity is judged on the blocks too: the off-block entries of
+        # rho are invisible to the functional
+        g = StateFunctional([[0.5, 1.0], [0.0, 0.5]], alg)
+        assert build_gns(g).rank == 2 and g.value(a) == 1.0
+
+    def test_negative_block_rejected(self):
+        alg = AlgebraDescriptor(2, (1, 1))
+        with pytest.raises(ValueError, match="not positive"):
+            StateFunctional([[1.5, 0.0], [0.0, -0.5]], alg)
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (2, 2), (3, 2, 1)])
+    def test_rho_and_its_block_projection_agree(self, sizes, rng):
+        alg = AlgebraDescriptor(sum(sizes), sizes)
+        n = alg.dimension
+        v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        rho = v @ v.conj().T
+        rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+        whole = StateFunctional(rho, alg)
+        projected = StateFunctional(rho * alg.block_mask(), alg)
+        for _ in range(10):
+            a = random_element(n, rng, alg)
+            assert whole.value(a) == projected.value(a)
+        rank = build_gns(whole).rank
+        assert rank == build_gns(projected).rank == _gram_oracle_rank(projected)
+
+
+class TestNonFiniteInputRejected:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda alg: StateFunctional([[np.nan, 0.0], [0.0, 1.0]], alg),
+            lambda alg: StateFunctional([[np.inf, 0.0], [0.0, 1.0]], alg),
+            lambda alg: StateFunctional.from_vector([np.nan, 1.0], alg),
+            lambda alg: StateFunctional.from_vector([np.inf, 1.0], alg),
+            lambda alg: QuantumState([np.nan, 1.0], alg),
+            lambda alg: QuantumState([np.inf, 0.0], alg),
+        ],
+        ids=[
+            "functional-nan",
+            "functional-inf",
+            "vector-nan",
+            "vector-inf",
+            "state-nan",
+            "state-inf",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            build(AlgebraDescriptor(2))
 
 
 class TestRanks:

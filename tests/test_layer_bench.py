@@ -1,4 +1,4 @@
-"""Layer-by-layer timings of the context sweep's primitives.
+"""Layer-by-layer timings of the context sweep's and the GNS check's primitives.
 
 Tier-1 runs each case once (``--benchmark-disable`` in ``addopts``) and
 checks its result; ``python -m pytest tests/test_layer_bench.py
@@ -6,7 +6,9 @@ checks its result; ``python -m pytest tests/test_layer_bench.py
 """
 
 import numpy as np
+import pytest
 
+from contextqm.algebra import AlgebraDescriptor
 from contextqm.contexts import (
     ContextRegistry,
     canonical_basis,
@@ -14,7 +16,8 @@ from contextqm.contexts import (
     interpolated_generator,
 )
 from contextqm.ensembles import QuantumState, ensemble_average
-from conftest import random_hermitian, random_unit_vector
+from contextqm.gns import StateFunctional, build_gns, vacuum_expectation
+from conftest import random_element, random_hermitian, random_unit_vector
 
 
 def _sweep(seed=7, n=6):
@@ -65,3 +68,30 @@ def test_ensemble_average_2000_samples(benchmark):
     assert report.sample_count == 2000
     assert sum(report.histogram.values()) == 2000
     assert report.exact_mean == float(np.real(psi.expectation(g)))
+
+
+# n = 3 and n = 6 are the two sizes the benchmark's cli_suite checks
+@pytest.mark.parametrize("n", [3, 6])
+def test_pure_functional_and_build_gns(benchmark, n):
+    rng = np.random.default_rng(7)
+    algebra = AlgebraDescriptor(n)
+    vector = random_unit_vector(n, rng)
+
+    def pure_space():
+        return build_gns(StateFunctional.from_vector(vector, algebra))
+
+    space = benchmark(pure_space)
+    assert space.rank == n
+    element = random_element(n, rng)
+    expected = np.vdot(vector, element.matrix @ vector)
+    assert abs(vacuum_expectation(space, element) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_represent_on_tracial_space(benchmark, n):
+    rng = np.random.default_rng(7)
+    space = build_gns(StateFunctional.tracial(AlgebraDescriptor(n)))
+    element = random_element(n, rng)
+    operator = benchmark(space.represent, element)
+    assert space.rank == n * n
+    assert np.array_equal(operator, np.kron(element.matrix, np.eye(n)))

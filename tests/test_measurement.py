@@ -172,6 +172,40 @@ class TestSingleMeasurement:
         assert np.abs(phi.attached_vector - expected).max() <= 1e-12
 
 
+class TestContextsFromAnotherRegistry:
+    """Every registry numbers its contexts from ``ctx-0``, so a state's layer
+    under an id must not answer for another registry's context."""
+
+    def _two_registries(self):
+        alg = AlgebraDescriptor(3)
+        gen_a = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg)
+        gen_b = AlgebraElement(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2.0]]), alg)
+        ctx_a = context_from_observable(gen_a, ContextRegistry())
+        ctx_b = context_from_observable(gen_b, ContextRegistry())
+        assert ctx_a.id == ctx_b.id == "ctx-0"
+        return gen_a, ctx_a, gen_b, ctx_b
+
+    def test_measuring_another_registrys_context_raises(self):
+        for seed in range(100):
+            gen_a, ctx_a, gen_b, ctx_b = self._two_registries()
+            phi = ElementaryState(rng=np.random.default_rng(seed))
+            measure(phi, Instrument(ctx_a), gen_a)
+            layers, stable = dict(phi.layers), dict(phi.stable)
+            with pytest.raises(ValueError, match="another registry"):
+                measure(phi, Instrument(ctx_b), gen_b)
+            assert phi.layers == layers and phi.stable == stable
+
+    def test_set_layer_rejects_another_registrys_context(self):
+        _, ctx_a, _, ctx_b = self._two_registries()
+        phi = ElementaryState()
+        phi.set_layer(ctx_a, 0)
+        phi.set_layer(ctx_a, 1)
+        with pytest.raises(ValueError, match="another registry"):
+            phi.set_layer(ctx_b, 0)
+        assert phi.layers[ctx_a.id].context is ctx_a
+        assert phi.layers[ctx_a.id].index == 1
+
+
 class TestSequences:
     def test_criterion_four_plan_runs_without_eigensolves(self, shared_setup, monkeypatch):
         alg, ctx1, ctx2, shared = shared_setup

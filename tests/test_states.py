@@ -203,6 +203,16 @@ class TestConstructStableOn:
         phi = construct_stable_on(ctx1, 1, [])
         assert phi.layers[ctx1.id].index == 1
 
+    def test_another_registrys_context_with_the_seed_id_rejected(self, shared_setup):
+        # both registries name their first context ctx-0: skipping ``other``
+        # by id would silently drop it, so it is set and rejected instead
+        alg, ctx1, _, _ = shared_setup
+        gen = AlgebraElement(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2.0]]), alg)
+        foreign = context_from_observable(gen, ContextRegistry())
+        assert foreign.id == ctx1.id and foreign is not ctx1
+        with pytest.raises(ValueError, match="another registry"):
+            construct_stable_on(ctx1, 0, [foreign])
+
     def test_index_validated(self, shared_setup):
         _, ctx1, _, _ = shared_setup
         with pytest.raises(ValueError):
