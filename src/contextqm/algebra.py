@@ -36,9 +36,11 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 BLOCK_TOL = 1e-12
 
-# default grouping tolerance for nearly equal eigenvalues, relative to the
-# largest eigenvalue magnitude (numerical eigensolvers split degeneracies)
+# grouping tolerance for nearly equal eigenvalues, relative to the largest
+# eigenvalue magnitude (numerical eigensolvers split degeneracies)
 GROUPING_TOL = 1e-9
+# absolute residual allowed by the one-dimensional projector predicate
+PROJECTOR_TOL = 1e-9
 
 
 class NonHermitianError(ValueError):
@@ -179,16 +181,13 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.matrix.conj().T, self.algebra)
 
-    @property
-    def H(self) -> "AlgebraElement":
-        return self.adjoint()
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        scale = max(1.0, float(np.abs(self.matrix).max(initial=0.0)))
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max(initial=0.0) <= tol * scale)
+    def is_hermitian(self) -> bool:
+        mat = self.matrix
+        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
+        return bool(np.abs(mat - mat.conj().T).max(initial=0.0) <= HERMITIAN_TOL * scale)
 
     def __repr__(self):
         return f"AlgebraElement(dim={self.algebra.dimension}, blocks={self.algebra.block_sizes})"
@@ -200,11 +199,10 @@ class SpectralDecomposition:
 
     ``pairs`` is ordered by strictly increasing eigenvalue; the projectors
     are Hermitian idempotents that are mutually orthogonal and sum to the
-    identity, all within ``tolerance``-level residuals.
+    identity, all within ``GROUPING_TOL``-level residuals.
     """
 
     pairs: tuple[tuple[float, AlgebraElement], ...]
-    tolerance: float = GROUPING_TOL
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -246,14 +244,14 @@ def _require_hermitian(element: AlgebraElement, who: str):
         raise NonHermitianError(f"{who} requires a Hermitian element")
 
 
-def _grouped(values: np.ndarray, tolerance: float) -> list[list[int]]:
+def _grouped(values: np.ndarray) -> list[list[int]]:
     """Group near-degenerate eigenvalues of an ascending spectrum.
 
     Returns lists of indices into ``values``; an eigenvalue within
-    ``tolerance`` (relative to the largest magnitude) of its group's
+    ``GROUPING_TOL`` (relative to the largest magnitude) of its group's
     first member joins that group.
     """
-    thr = tolerance * max(1.0, float(np.abs(values).max(initial=0.0)))
+    thr = GROUPING_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
     groups: list[list[int]] = []
     for k, v in enumerate(values):
         if groups and v - values[groups[-1][0]] <= thr:
@@ -274,10 +272,10 @@ def _eigh(element: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
     return element._eigh
 
 
-def spectrum(element: AlgebraElement, tolerance: float = GROUPING_TOL) -> list[float]:
+def spectrum(element: AlgebraElement) -> list[float]:
     """Sorted distinct eigenvalues of a Hermitian element.
 
-    Eigenvalues closer than ``tolerance`` (relative to the largest
+    Eigenvalues closer than ``GROUPING_TOL`` (relative to the largest
     magnitude) are merged into one spectrum point.  Because the maximal
     commutative subalgebras of the matrix algebra are full diagonal
     algebras, the spectrum does not depend on which one the element is
@@ -285,12 +283,10 @@ def spectrum(element: AlgebraElement, tolerance: float = GROUPING_TOL) -> list[f
     """
     _require_hermitian(element, "spectrum")
     values = _eigh(element)[0]
-    return [float(np.mean(values[g])) for g in _grouped(values, tolerance)]
+    return [float(np.mean(values[g])) for g in _grouped(values)]
 
 
-def spectral_decomposition(
-    element: AlgebraElement, tolerance: float = GROUPING_TOL
-) -> SpectralDecomposition:
+def spectral_decomposition(element: AlgebraElement) -> SpectralDecomposition:
     """Resolve a Hermitian element into eigenvalue/projector pairs.
 
     Projectors of a near-degenerate group are the sums of its rank-one
@@ -300,12 +296,12 @@ def spectral_decomposition(
     _require_hermitian(element, "spectral_decomposition")
     values, vectors = _eigh(element)
     pairs = []
-    for g in _grouped(values, tolerance):
+    for g in _grouped(values):
         vecs = vectors[:, g]
         proj = vecs @ vecs.conj().T
         proj = 0.5 * (proj + proj.conj().T)
         pairs.append((float(np.mean(values[g])), AlgebraElement(proj, element.algebra)))
-    return SpectralDecomposition(pairs=tuple(pairs), tolerance=tolerance)
+    return SpectralDecomposition(pairs=tuple(pairs))
 
 
 def norm(element: AlgebraElement) -> float:
@@ -319,22 +315,22 @@ def norm(element: AlgebraElement) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def is_one_dim_projector(element: AlgebraElement, tolerance: float = 1e-9) -> bool:
-    """True iff p* = p, p^2 = p and trace(p) = 1 within tolerance.
+def is_one_dim_projector(element: AlgebraElement) -> bool:
+    """True iff p* = p, p^2 = p and trace(p) = 1 within ``PROJECTOR_TOL``.
 
     The unit-trace condition is the finite-dimensional form of
     non-decomposability: a projector of higher rank splits into a sum of
     orthogonal sub-projectors.
     """
     mat = element.matrix
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > tolerance:
+    if np.abs(mat - mat.conj().T).max(initial=0.0) > PROJECTOR_TOL:
         return False
-    if np.abs(mat @ mat - mat).max(initial=0.0) > tolerance:
+    if np.abs(mat @ mat - mat).max(initial=0.0) > PROJECTOR_TOL:
         return False
-    return abs(np.trace(mat) - 1.0) <= tolerance
+    return abs(np.trace(mat) - 1.0) <= PROJECTOR_TOL
 
 
-def check_positivity_structure(element: AlgebraElement, tolerance: float = 1e-10) -> bool:
+def check_positivity_structure(element: AlgebraElement) -> bool:
     """Verify the positivity axioms of the involution on one element.
 
     Checks that R*R is Hermitian positive semidefinite, that it equals
@@ -343,15 +339,15 @@ def check_positivity_structure(element: AlgebraElement, tolerance: float = 1e-10
     """
     gram = element.matrix.conj().T @ element.matrix
     scale = max(1.0, float(np.abs(gram).max(initial=0.0)))
-    if np.abs(gram - gram.conj().T).max(initial=0.0) > tolerance * scale:
+    if np.abs(gram - gram.conj().T).max(initial=0.0) > HERMITIAN_TOL * scale:
         return False
     values, vectors = np.linalg.eigh(gram)
-    if values[0] < -tolerance * scale:
+    if values[0] < -HERMITIAN_TOL * scale:
         return False
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
     if np.abs(root @ root - gram).max(initial=0.0) > 1e-8 * scale:
         return False
-    if norm(AlgebraElement(gram, element.algebra)) <= tolerance:
+    if norm(AlgebraElement(gram, element.algebra)) <= HERMITIAN_TOL:
         return bool(np.abs(element.matrix).max(initial=0.0) <= 1e-10)
     return True
 
@@ -361,16 +357,16 @@ def check_positivity_structure(element: AlgebraElement, tolerance: float = 1e-10
 # ---------------------------------------------------------------------------
 
 
-def element_fingerprint(element: AlgebraElement, decimals: int = 9) -> str:
+def element_fingerprint(element: AlgebraElement) -> str:
     """Deterministic identity string for an observable.
 
-    Entries are rounded to ``decimals`` places before hashing so that
+    Entries are rounded to 9 decimal places before hashing so that
     numerically identical observables produced along different code paths
     agree.  The block structure of a non-full algebra is hashed too, so
     the same matrix in two algebras gets two fingerprints.
     """
     mat = element.matrix
-    rounded = np.round(mat.real, decimals) + 1j * np.round(mat.imag, decimals)
+    rounded = np.round(mat.real, 9) + 1j * np.round(mat.imag, 9)
     rounded += 0.0  # normalize -0.0 to +0.0 so the byte stream is canonical
     digest = hashlib.sha1()
     digest.update(str(mat.shape[0]).encode())

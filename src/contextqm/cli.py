@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement
 from .contexts import ContextRegistry, context_from_observable
-from .ensembles import born_distribution, x_polarized
+from .ensembles import QuantumState, born_distribution, x_polarized
 from .gns import (
     StateFunctional,
     build_gns,
@@ -30,8 +30,7 @@ from .measurement import (
     peres33_rays,
     spin_axis_observable,
 )
-from .oscillator import fock_oracle_green, wick_green
-from .ensembles import QuantumState
+from .oscillator import MAX_FOCK_CUTOFF, MAX_WICK_ORDER, fock_oracle_green, wick_green
 from .reports import build_envelope, render_csv, render_json, write_text
 
 STAT_BAND = 4.0  # standard-error multiplier for statistical checks
@@ -39,16 +38,13 @@ GNS_THRESHOLD = 1e-10
 GREEN_THRESHOLD = 1e-8
 
 
-def _emit(doc: dict, fmt: str, out: str | None, header=None, rows=None):
+def _emit(doc: dict, fmt: str, out: str | None, rows: list[dict]):
+    """Write ``doc`` as JSON, or ``rows`` as CSV under the envelope fields."""
     if fmt == "json":
         write_text(render_json(doc), out)
     else:
-        preamble = {
-            "schema_version": doc["schema_version"],
-            "command": doc["command"],
-            "seed": doc["seed"],
-        }
-        write_text(render_csv(header, rows, preamble), out)
+        preamble = {key: doc[key] for key in ("schema_version", "command", "seed")}
+        write_text(render_csv(rows, preamble), out)
 
 
 def _note(text: str):
@@ -150,28 +146,7 @@ def spin_demo(thetas, sample_count, seed, out, fmt):
         {"samples": sample_count, "thetas": [float(t) for t in thetas]},
         {"angles": angle_rows, "violations": violations},
     )
-    _emit(
-        doc,
-        fmt,
-        out,
-        header=[
-            "theta",
-            "exact_probability_plus",
-            "empirical_frequency_plus",
-            "standard_error",
-            "within_band",
-        ],
-        rows=[
-            [
-                r["theta"],
-                r["exact_probability_plus"],
-                r["empirical_frequency_plus"],
-                r["standard_error"],
-                r["within_band"],
-            ]
-            for r in angle_rows
-        ],
-    )
+    _emit(doc, fmt, out, angle_rows)
     _stopwatch(t0)
     if violations:
         sys.exit(1)
@@ -215,27 +190,21 @@ def ks_search(ray_file, pair_rule, seed, out, fmt):
         {"ray_file": ray_file or "bundled:peres33", "pair_rule": pair_rule},
         result.to_json_dict(),
     )
-    rows = [
-        [
-            "UNSAT" if not result.satisfiable else "SAT",
-            result.nodes,
-            result.ray_count,
-            result.triad_count,
-            result.pair_count,
-        ]
-    ]
-    _emit(
-        doc,
-        fmt,
-        out,
-        header=["status", "nodes", "ray_count", "triad_count", "pair_count"],
-        rows=rows,
-    )
+    row = {
+        "status": "SAT" if result.satisfiable else "UNSAT",
+        "nodes": result.nodes,
+        "ray_count": result.ray_count,
+        "triad_count": result.triad_count,
+        "pair_count": result.pair_count,
+    }
+    _emit(doc, fmt, out, [row])
     _stopwatch(t0)
 
 
 @main.command("green")
-@click.option("--n", "order", type=int, required=True, help="Correlation order (<= 12).")
+@click.option(
+    "--n", "order", type=int, required=True, help=f"Correlation order (<= {MAX_WICK_ORDER})."
+)
 @click.option("--omega", type=float, default=1.0, show_default=True)
 @click.option(
     "--times",
@@ -244,7 +213,10 @@ def ks_search(ray_file, pair_rule, seed, out, fmt):
     help="Comma-separated times (count must equal --n); default: seeded uniform in [-5, 5].",
 )
 @click.option(
-    "--cutoff", type=int, default=None, help="Truncation size (default n+6, at most 512)."
+    "--cutoff",
+    type=int,
+    default=None,
+    help=f"Truncation size (default n+6, at most {MAX_FOCK_CUTOFF}).",
 )
 @seed_option
 @out_option
@@ -257,10 +229,8 @@ def green(order, omega, times, cutoff, seed, out, fmt):
     beyond 1e-8.  Odd orders are identically zero.
     """
     t0 = time.perf_counter()
-    if order < 0 or order > 12:
-        raise click.BadParameter("--n must lie in [0, 12]")
-    if not (np.isfinite(omega) and omega > 0):
-        raise click.BadParameter("must be positive and finite", param_hint="--omega")
+    if not 0 <= order <= MAX_WICK_ORDER:
+        raise click.BadParameter(f"--n must lie in [0, {MAX_WICK_ORDER}]")
     if times is not None:
         try:
             time_list = [float(part) for part in times.split(",") if part.strip()]
@@ -270,16 +240,14 @@ def green(order, omega, times, cutoff, seed, out, fmt):
             raise click.BadParameter(
                 f"--times lists {len(time_list)} values for order {order}"
             )
-        if not np.all(np.isfinite(time_list)):
-            raise click.BadParameter("must all be finite", param_hint="--times")
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         time_list = [float(t) for t in rng.uniform(-5.0, 5.0, size=order)]
-    wick = wick_green(time_list, omega)
-    try:
+    try:  # the routes reject a bad omega, a non-finite time and a bad cutoff
+        wick = wick_green(time_list, omega)
         fock = fock_oracle_green(time_list, omega, cutoff)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--cutoff") from exc
+        raise click.BadParameter(str(exc)) from exc
     difference = abs(wick - fock)
     doc = build_envelope(
         "green",
@@ -296,23 +264,15 @@ def green(order, omega, times, cutoff, seed, out, fmt):
             "abs_difference": difference,
         },
     )
-    rows = [
-        [
-            ";".join(repr(t) for t in time_list),
-            wick.real,
-            wick.imag,
-            fock.real,
-            fock.imag,
-            difference,
-        ]
-    ]
-    _emit(
-        doc,
-        fmt,
-        out,
-        header=["times", "wick_re", "wick_im", "fock_re", "fock_im", "abs_difference"],
-        rows=rows,
-    )
+    row = {
+        "times": ";".join(repr(t) for t in time_list),
+        "wick_re": wick.real,
+        "wick_im": wick.imag,
+        "fock_re": fock.real,
+        "fock_im": fock.imag,
+        "abs_difference": difference,
+    }
+    _emit(doc, fmt, out, [row])
     _stopwatch(t0)
     if not difference <= GREEN_THRESHOLD:  # a NaN gap fails too
         sys.exit(1)
@@ -387,30 +347,15 @@ def gns_check(dimension, trials, seed, out, fmt):
             "ok": ok,
         },
     )
-    rows = [
-        [
-            dimension,
-            trials,
-            expectation_residual,
-            compression_residual,
-            tracial_rank,
-            ok,
-        ]
-    ]
-    _emit(
-        doc,
-        fmt,
-        out,
-        header=[
-            "n",
-            "trials",
-            "expectation_residual",
-            "compression_residual",
-            "tracial_rank",
-            "ok",
-        ],
-        rows=rows,
-    )
+    row = {
+        "n": dimension,
+        "trials": trials,
+        "expectation_residual": expectation_residual,
+        "compression_residual": compression_residual,
+        "tracial_rank": tracial_rank,
+        "ok": ok,
+    }
+    _emit(doc, fmt, out, [row])
     _stopwatch(t0)
     if not ok:
         sys.exit(1)

@@ -10,7 +10,6 @@ carries the same identity.
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
 from bisect import bisect_left, bisect_right, insort
@@ -43,6 +42,8 @@ __all__ = [
 
 # identity tolerance on context fingerprints (sorted component magnitudes)
 FINGERPRINT_TOL = 1e-8
+# overlap tolerance of a basis match, far below any gap between distinct contexts
+MATCH_TOL = 1000.0 * FINGERPRINT_TOL
 # an observable belongs to a context when it is diagonal in its basis to here
 DIAGONAL_TOL = 1e-9
 # commuting-family admission threshold
@@ -173,17 +174,17 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
     return np.column_stack([cols[j] for j in order])
 
 
-def _bases_match(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
+def _bases_match(b1: np.ndarray, b2: np.ndarray) -> bool:
     """Equality up to column permutation and per-column phases."""
     overlap = np.abs(b1.conj().T @ b2)
     hits = np.argmax(overlap, axis=0)
     if len(set(int(h) for h in hits)) != overlap.shape[0]:
         return False
     for j, i in enumerate(hits):
-        if abs(overlap[i, j] - 1.0) > tol:
+        if abs(overlap[i, j] - 1.0) > MATCH_TOL:
             return False
         rest = np.delete(overlap[:, j], i)
-        if rest.size and rest.max() > tol:
+        if rest.size and rest.max() > MATCH_TOL:
             return False
     return True
 
@@ -194,20 +195,16 @@ class ContextRegistry:
     The fingerprint (sorted magnitudes of all basis components) is
     invariant under column order and per-vector phases.  Each algebra keeps
     its contexts sorted by the fingerprint's sum s: bases whose
-    fingerprints agree within ``tolerance`` entry by entry have sums within
-    size * tolerance, so a bisected window of s holds every candidate.
+    fingerprints agree within ``FINGERPRINT_TOL`` entry by entry have sums
+    within size * FINGERPRINT_TOL, so a bisected window of s holds every
+    candidate.
     Candidates are tried in creation order, and confirmed by an explicit
     permutation-and-phase basis match before an id is reused, so the first
     match is the one a scan over all contexts would find.  Writes are
     serialized by a lock; lookups of immutable contexts are safe to share.
-    ``tolerance`` must be finite and positive.
     """
 
-    def __init__(self, tolerance: float = FINGERPRINT_TOL):
-        tolerance = float(tolerance)
-        if not (math.isfinite(tolerance) and tolerance > 0.0):
-            raise ValueError(f"registry tolerance must be finite and > 0, got {tolerance!r}")
-        self.tolerance = tolerance
+    def __init__(self):
         self._lock = threading.Lock()
         self._by_id: dict[str, Context] = {}  # in creation order
         # per algebra: (fingerprint sum, creation index, context), sorted
@@ -232,14 +229,13 @@ class ContextRegistry:
 
         ``basis`` must be an n x n orthonormal matrix for the algebra's
         dimension n; anything else (including NaN or inf entries) raises
-        ``ValueError``.  Bases closer than the registry tolerance (after
-        phase and order normalization) are identified; the match tolerance
-        on overlaps is a generous multiple of the fingerprint tolerance, far
-        below any separation between genuinely distinct contexts in practice.
-        A matching context is reused only if it contains every element of
-        ``members`` (the observables that generated ``basis``): the match
-        tolerances are looser than membership, so a near match can miss a
-        generator, and then ``basis`` gets a context of its own.
+        ``ValueError``.  Bases whose fingerprints agree to ``FINGERPRINT_TOL``
+        and whose overlaps match to ``MATCH_TOL`` (after phase and order
+        normalization) are identified.  A matching context is reused only if
+        it contains every element of ``members`` (the observables that
+        generated ``basis``): the match tolerances are looser than
+        membership, so a near match can miss a generator, and then ``basis``
+        gets a context of its own.
         """
         basis = np.asarray(basis, dtype=np.complex128)
         n = algebra.dimension
@@ -254,16 +250,15 @@ class ContextRegistry:
         fp = _magnitudes(basis)
         s = float(fp.sum())
         # twice the size * tolerance bound, so rounding in the sums loses no one
-        reach = 2.0 * fp.size * self.tolerance
-        match_tol = 1000.0 * self.tolerance
+        reach = 2.0 * fp.size * FINGERPRINT_TOL
         with self._lock:
             keyed = self._by_sum.setdefault(algebra, [])
             lo = bisect_left(keyed, s - reach, key=itemgetter(0))
             hi = bisect_right(keyed, s + reach, key=itemgetter(0))
             for _, _, ctx in sorted(keyed[lo:hi], key=itemgetter(1)):
-                if np.abs(ctx.fingerprint - fp).max(initial=0.0) > self.tolerance:
+                if np.abs(ctx.fingerprint - fp).max(initial=0.0) > FINGERPRINT_TOL:
                     continue
-                if _bases_match(ctx.basis, basis, match_tol) and all(
+                if _bases_match(ctx.basis, basis) and all(
                     ctx.diagonal_values(m) is not None for m in members
                 ):
                     return ctx
@@ -274,41 +269,32 @@ class ContextRegistry:
             return ctx
 
 
-def context_from_observable(
-    element: AlgebraElement,
-    registry: ContextRegistry,
-    tolerance: float = 1e-9,
-) -> Context:
+def context_from_observable(element: AlgebraElement, registry: ContextRegistry) -> Context:
     """Context generated by a single nondegenerate observable.
 
     The observable's eigenbasis is the joint eigenbasis; a degenerate
     spectrum leaves the maximal extension ambiguous and is rejected —
     callers must supply a completing family instead.
 
-    The answer is kept on the element for this registry and ``tolerance``:
-    the registry only appends and returns the first match in creation
-    order, so a later call could only find the same context again.
+    The answer is kept on the element per registry: a registry only appends
+    and returns the first match, so a later call would find the same context.
     """
     memo = element._context
-    if memo is not None and memo[0]() is registry and memo[1] == tolerance:
-        return memo[2]
+    if memo is not None and memo[0]() is registry:
+        return memo[1]
     _require_hermitian(element, "context_from_observable")
     values, vectors = _eigh(element)
-    if any(len(g) > 1 for g in _grouped(values, tolerance)):
+    if any(len(g) > 1 for g in _grouped(values)):
         raise DegenerateObservableError(
             "observable has a degenerate spectrum; supply a completing family"
         )
     basis = canonical_basis(vectors, [element])
     ctx = registry.register(basis, element.algebra, members=(element,))
-    element._context = (weakref.ref(registry), tolerance, ctx)
+    element._context = (weakref.ref(registry), ctx)
     return ctx
 
 
-def context_from_family(
-    family,
-    registry: ContextRegistry,
-    tolerance: float = 1e-9,
-) -> Context:
+def context_from_family(family, registry: ContextRegistry) -> Context:
     """Context of a commuting family via simultaneous diagonalization.
 
     The joint eigenbasis is built by recursive refinement: each observable
@@ -344,7 +330,7 @@ def context_from_family(
             compressed = span.conj().T @ element.matrix @ span
             compressed = 0.5 * (compressed + compressed.conj().T)
             values, rotation = np.linalg.eigh(compressed)
-            for group in _grouped(values, tolerance):
+            for group in _grouped(values):
                 refined.append(span @ rotation[:, group])
         subspaces = refined
 

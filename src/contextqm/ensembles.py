@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint, spectrum
 from .contexts import Context, IncompatibleObservableError
-from .states import ElementaryState
+from .states import ElementaryState, agreeing
 
 __all__ = [
     "QuantumState",
@@ -197,7 +197,7 @@ def ensemble_average(
     points = spectrum(element)
     histogram: dict = {}
     for point in points:
-        hits = int(np.count_nonzero(np.abs(values - point) <= 1e-9 * max(1.0, abs(point))))
+        hits = int(np.count_nonzero(agreeing(values, point)))
         if hits:
             histogram[round(float(point), 12)] = hits
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, norm
 from .ensembles import QuantumState
+from .states import _unit_vector
 
 __all__ = [
     "StateFunctional",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 RANK_CUTOFF = 1e-10
+CLASS_TOL = 1e-9  # classes this close are one point of the quotient
 
 
 class StateFunctional:
@@ -80,11 +82,7 @@ class StateFunctional:
     @classmethod
     def from_vector(cls, vector, algebra: AlgebraDescriptor) -> "StateFunctional":
         """The pure functional <tau, . tau> of a unit vector."""
-        vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        length = np.linalg.norm(vec)
-        if not 0.0 < length < np.inf:
-            raise ValueError("state vector must be nonzero, with no NaN or infinite entry")
-        vec = vec / length
+        vec = _unit_vector(np.reshape(vector, -1))
         return cls(np.outer(vec, vec.conj()), algebra)
 
     @classmethod
@@ -261,8 +259,8 @@ def compression_identity_check(
     return max(residual, float(np.abs(direct - sandwiched).max(initial=0.0)))
 
 
-def class_equality_check(space: GnsSpace, p: AlgebraElement, tolerance: float = 1e-9) -> bool:
-    """Whether the classes of ``p`` and the identity coincide.
+def class_equality_check(space: GnsSpace, p: AlgebraElement) -> bool:
+    """Whether the classes of ``p`` and the identity lie within ``CLASS_TOL``.
 
     For the pure functional of a vector tau and p its projector, the
     difference I - p has vanishing scalar square, so the two classes are
@@ -271,7 +269,7 @@ def class_equality_check(space: GnsSpace, p: AlgebraElement, tolerance: float = 
     diff = space.class_vector(p) - space.class_vector(
         AlgebraElement.identity(space.algebra)
     )
-    return bool(np.linalg.norm(diff) <= tolerance)
+    return bool(np.linalg.norm(diff) <= CLASS_TOL)
 
 
 def seminorm_ideal(algebra: AlgebraDescriptor, functionals) -> dict:

@@ -51,6 +51,18 @@ class CoarseGridWarning(UserWarning):
     """The source grid step resolves the oscillation poorly."""
 
 
+def _check_omega(omega: float):
+    if not 0.0 < omega < math.inf:  # NaN fails every comparison
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+
+
+def _finite_times(times) -> list[float]:
+    times = [float(t) for t in times]
+    if not all(map(math.isfinite, times)):
+        raise ValueError("times must all be finite")
+    return times
+
+
 class FockTruncation:
     """Ladder operators on the lowest ``cutoff`` levels.
 
@@ -62,8 +74,7 @@ class FockTruncation:
     def __init__(self, cutoff: int, omega: float = 1.0):
         if cutoff < 2:
             raise ValueError("cutoff must be at least 2")
-        if omega <= 0:
-            raise ValueError("omega must be positive")
+        _check_omega(omega)
         self.cutoff = int(cutoff)
         self.omega = float(omega)
         self.lowering = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(
@@ -94,8 +105,7 @@ def two_point(t1: float, t2: float, omega: float) -> complex:
     energy-integral quadrature and the Fock-truncation oracle, both kept
     in this module and compared in the test suite.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    _check_omega(omega)
     return complex(np.exp(-1j * omega * abs(t1 - t2)) / (2.0 * omega))
 
 
@@ -131,7 +141,8 @@ def wick_green(times, omega: float) -> complex:
     pairings of ``perfect_matchings``.  Orders above MAX_WICK_ORDER are
     rejected.
     """
-    times = [float(t) for t in times]
+    times = _finite_times(times)
+    _check_omega(omega)
     n = len(times)
     if n > MAX_WICK_ORDER:
         raise ValueError(f"order {n} exceeds the cap {MAX_WICK_ORDER}")
@@ -167,7 +178,8 @@ def fock_oracle_green(times, omega: float, cutoff: int | None = None) -> complex
     the order is exact; the default keeps a margin of 6.  A cutoff above
     MAX_FOCK_CUTOFF is rejected.
     """
-    times = [float(t) for t in times]
+    times = _finite_times(times)
+    _check_omega(omega)
     n = len(times)
     if cutoff is None:
         cutoff = n + 6
@@ -196,8 +208,7 @@ def propagator_quadrature(
     Returns the regulated kernel, which tends to i/(2 omega) *
     exp(-i omega |t|) as the regulator vanishes.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    _check_omega(omega)
     t = abs(t1 - t2)
     delta = 1e-2 * omega
 
@@ -249,8 +260,8 @@ def ground_projector_limit(r: float, cutoff: int) -> tuple[np.ndarray, float]:
     largest suppressed entry, exactly exp(-r) for positive r — no
     eigensolver is involved, keeping the identity sharp to the last bit.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if not 0.0 <= r < math.inf:  # NaN fails every comparison
+        raise ValueError(f"r must be finite and nonnegative, got {r!r}")
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     levels = np.arange(cutoff, dtype=float)
@@ -269,6 +280,7 @@ def hamiltonian_sandwich_residual(r: float, omega: float, cutoff: int) -> float:
     omega * max_k k exp(-2rk), dominated by the first excited level once
     r is order one.
     """
+    _check_omega(omega)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     levels = np.arange(cutoff, dtype=float)
@@ -324,6 +336,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("a grid needs at least 2 nodes")
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValueError("grid bounds must be finite")
         if not self.t_max > self.t_min:
             raise ValueError("grid must be strictly increasing")
 
@@ -394,8 +408,7 @@ def generating_functional(source: SourceFunction, omega: float) -> complex:
     the two-point function, not by convention.  A grid step above
     0.1/omega triggers a CoarseGridWarning.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    _check_omega(omega)
     grid = source.grid
     if grid.dt > 0.1 / omega:
         warnings.warn(
@@ -432,12 +445,11 @@ def functional_derivative_green(
     is Z = exp((i/2) h^2 s^T K s) with K the causal kernel on those n nodes
     alone, built once.
     """
-    times = [float(t) for t in times]
+    times = _finite_times(times)
+    _check_omega(omega)
     n = len(times)
     if n == 0:
         return 1.0 + 0.0j
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     spikes = grid.nodes()[[grid.node_index(t) for t in times]]
     sub_kernel = _causal_kernel(spikes[:, None] - spikes[None, :], omega)
     # row c holds the strengths' signs for pattern c: bit m set means -h

@@ -59,15 +59,13 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(header: list[str], rows: list[list], preamble: dict | None = None) -> str:
-    """Rows under a fixed header; envelope fields become '#' comments."""
-    lines = []
-    if preamble:
-        for key in sorted(preamble):
-            lines.append(f"# {key}: {_csv_cell(preamble[key])}")
-    lines.append(",".join(header))
+def render_csv(rows: list[dict], preamble: dict) -> str:
+    """Rows of one schema under a header of the first row's keys, in order;
+    the envelope fields of ``preamble`` become '#' comments."""
+    lines = [f"# {key}: {_csv_cell(preamble[key])}" for key in sorted(preamble)]
+    lines.append(",".join(rows[0]))
     for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
+        lines.append(",".join(_csv_cell(cell) for cell in row.values()))
     return "\n".join(lines) + "\n"
 
 

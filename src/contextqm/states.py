@@ -10,8 +10,7 @@ materialized later can be conditioned on it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ def _unit_vector(vector) -> np.ndarray:
     vec = np.asarray(vector, dtype=np.complex128)
     length = np.linalg.norm(vec)
     if not 0.0 < length < np.inf:  # a NaN or inf entry makes the norm fail too
-        raise ValueError("attached vector must have a finite, nonzero norm")
+        raise ValueError("vector must be nonzero, with no NaN or infinite entry")
     return vec / length
 
 
@@ -114,8 +113,7 @@ class ElementaryState:
         report metadata can flag it.
         """
         self.attached_vector = _unit_vector(vector)
-        if self.stable:
-            self.stable = {}
+        self.stable = {}
         self.stability_reset_count += 1
 
     # -- layers -------------------------------------------------------------
@@ -189,9 +187,6 @@ class ElementaryState:
             "stability_reset_count": self.stability_reset_count,
             "has_attached_state": self.attached_vector is not None,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __repr__(self):
         return (

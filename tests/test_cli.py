@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from contextqm import cli
 from contextqm.cli import main
+from contextqm.reports import _csv_cell
 
 
 @pytest.fixture
@@ -69,7 +70,9 @@ class TestSpinDemo:
         )
         assert result.exit_code == 0
         lines = [l for l in result.stdout.splitlines() if not l.startswith("#")]
-        assert lines[0].startswith("theta,")
+        assert lines[0] == (
+            "theta,exact_probability_plus,empirical_frequency_plus,standard_error,within_band"
+        )
         assert len(lines) == 5  # header + four default angles
 
     def test_out_file(self, runner, tmp_path):
@@ -224,7 +227,9 @@ class TestGnsCheck:
         assert result.exit_code == 0
         lines = [l for l in result.stdout.splitlines() if not l.startswith("#")]
         assert len(lines) == 2
-        assert lines[0].startswith("n,trials,")
+        assert lines[0] == (
+            "n,trials,expectation_residual,compression_residual,tracial_rank,ok"
+        )
         assert lines[1].endswith(",true")
 
     @pytest.mark.parametrize("n", [3, 6])
@@ -316,3 +321,45 @@ class TestSeedOption:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert result.stdout == ""
+
+
+def _json_field(column, results, parameters):
+    """The JSON value a CSV column of a single-row report carries."""
+    if column == "status":
+        return "SAT" if results["satisfiable"] else "UNSAT"
+    if column == "times":
+        return ";".join(repr(t) for t in parameters["times"])
+    if column in results:
+        return results[column]
+    if column in parameters:
+        return parameters[column]
+    route, part = column.rsplit("_", 1)  # wick_re -> results["wick"]["re"]
+    return results[route][part]
+
+
+class TestCsvMatchesJson:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spin-demo", "-n", "2000"],
+            ["ks-search"],
+            ["ks-search", "--no-pair-rule"],
+            ["green", "--n", "6"],
+            ["gns-check", "--trials", "10"],
+        ],
+        ids=["spin-demo", "ks-search", "ks-search-no-pair-rule", "green", "gns-check"],
+    )
+    def test_each_cell_equals_its_json_field(self, runner, args, seed):
+        args = [*args, "--seed", str(seed)]
+        doc = _report(runner.invoke(main, args))
+        result = runner.invoke(main, [*args, "--format", "csv"])
+        assert result.exit_code == 0
+        lines = [l for l in result.stdout.splitlines() if not l.startswith("#")]
+        header, cells = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        results, parameters = doc["results"], doc["parameters"]
+        if args[0] == "spin-demo":
+            expected = [[row[c] for c in header] for row in results["angles"]]
+        else:
+            expected = [[_json_field(c, results, parameters) for c in header]]
+        assert cells == [[_csv_cell(value) for value in row] for row in expected]

@@ -337,8 +337,7 @@ class _ScanRegistry:
     otherwise it creates the next id.
     """
 
-    def __init__(self, tolerance=FINGERPRINT_TOL):
-        self.tolerance = tolerance
+    def __init__(self):
         self.algebras, self.fingerprints, self.bases = [], [], []
 
     def register(self, basis, algebra):
@@ -347,8 +346,8 @@ class _ScanRegistry:
         same = [k for k, known in enumerate(self.algebras) if known == algebra]
         if same:
             gaps = np.abs(np.array([self.fingerprints[k] for k in same]) - fp).max(axis=1)
-            for k in np.asarray(same)[~(gaps > self.tolerance)]:
-                if _bases_match(self.bases[k], basis, 1000.0 * self.tolerance):
+            for k in np.asarray(same)[~(gaps > FINGERPRINT_TOL)]:
+                if _bases_match(self.bases[k], basis):
                     return f"ctx-{k}"
         self.algebras.append(algebra)
         self.fingerprints.append(fp)
@@ -469,17 +468,11 @@ class TestSortedKeyLookup:
 
 
 class TestRegistryTolerance:
-    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
-    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
-        with pytest.raises(ValueError, match="tolerance"):
-            ContextRegistry(tolerance)
-
-    @pytest.mark.parametrize("tolerance", [FINGERPRINT_TOL, 1e-4])
-    def test_distinct_bases_stay_apart_and_repeats_match(self, tolerance):
+    def test_distinct_bases_stay_apart_and_repeats_match(self):
         rng = np.random.default_rng(3)
         alg = AlgebraDescriptor(4)
         bases = [_random_unitary(4, rng) for _ in range(6)]
-        registry = ContextRegistry(tolerance)
+        registry = ContextRegistry()
         ids = [registry.register(b, alg).id for b in bases + bases]
         assert ids == [f"ctx-{k}" for k in range(6)] * 2
 
@@ -596,14 +589,6 @@ class TestElementMemo:
         found = context_from_observable(g, fresh)
         assert layer_calls["register"] == 2
         assert fresh.get(found.id) is found and len(fresh) == 1
-
-    def test_another_tolerance_misses(self, registry):
-        # relative gap 1e-4 / 3: nondegenerate at 1e-9, degenerate at 1e-3
-        g = AlgebraElement.from_diagonal([1.0, 1.0 + 1e-4, 3.0], AlgebraDescriptor(3))
-        ctx = context_from_observable(g, registry)
-        with pytest.raises(DegenerateObservableError):
-            context_from_observable(g, registry, tolerance=1e-3)
-        assert context_from_observable(g, registry) is ctx
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,14 +1,16 @@
-"""Layer-by-layer timings of the context sweep's and the GNS check's primitives.
+"""Layer-by-layer timings of the primitives the end-to-end paths are built from.
 
 Tier-1 runs each case once (``--benchmark-disable`` in ``addopts``) and
 checks its result; ``python -m pytest tests/test_layer_bench.py
 --benchmark-enable`` times them.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from contextqm.algebra import AlgebraDescriptor
+from contextqm.algebra import AlgebraDescriptor, AlgebraElement
 from contextqm.contexts import (
     ContextRegistry,
     canonical_basis,
@@ -17,6 +19,15 @@ from contextqm.contexts import (
 )
 from contextqm.ensembles import QuantumState, ensemble_average
 from contextqm.gns import StateFunctional, build_gns, vacuum_expectation
+from contextqm.measurement import Instrument, ks_noncontextual_search, measure, peres33_rays
+from contextqm.oscillator import (
+    TimeGrid,
+    fock_oracle_green,
+    functional_derivative_green,
+    wick_green,
+)
+from contextqm.reports import build_envelope, render_json
+from contextqm.states import ElementaryState
 from conftest import random_element, random_hermitian, random_unit_vector
 
 
@@ -95,3 +106,67 @@ def test_represent_on_tracial_space(benchmark, n):
     operator = benchmark(space.represent, element)
     assert space.rank == n * n
     assert np.array_equal(operator, np.kron(element.matrix, np.eye(n)))
+
+
+def test_measure_on_a_fresh_state(benchmark):
+    # criterion 4's first step: a shared observable through the first context
+    rng = np.random.default_rng(7)
+    alg = AlgebraDescriptor(3)
+    gen = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg)
+    ctx = context_from_observable(gen, ContextRegistry())
+    inst = Instrument(ctx, "first")
+    shared = AlgebraElement.from_diagonal([5.0, 5.0, 7.0], alg)
+
+    def fresh():
+        phi = ElementaryState(rng=rng, attached_vector=random_unit_vector(3, rng))
+        return (phi, inst, shared), {"rng": rng}
+
+    value, phi = benchmark.pedantic(measure, setup=fresh, rounds=200)
+    assert value in (5.0, 7.0)
+    assert measure(phi, inst, shared, rng=rng)[0] == value  # a repeat is exact
+
+
+def test_ensure_layer_draw(benchmark):
+    rng, a1, a2 = _sweep()
+    ctx = context_from_observable(interpolated_generator(a1, a2, 0.4), ContextRegistry())
+    vector = random_unit_vector(6, rng)
+
+    def fresh():
+        return (ElementaryState(rng=rng, attached_vector=vector), ctx), {}
+
+    layer = benchmark.pedantic(ElementaryState.ensure_layer, setup=fresh, rounds=200)
+    assert layer.context is ctx and 0 <= layer.index < 6
+
+
+def test_wick_green_order_12(benchmark):
+    times = list(np.random.default_rng(7).uniform(-5.0, 5.0, 12))
+    value = benchmark(wick_green, times, 1.0)
+    assert abs(value - fock_oracle_green(times, 1.0)) <= 1e-8
+
+
+def test_functional_derivative_green_fourth_order(benchmark):
+    times = [-1.0, 0.0, 0.5, 1.5]
+    grid = TimeGrid(-3.0, 3.0, 61)
+    value = benchmark(functional_derivative_green, grid, times, 1.0, 2e-2)
+    assert abs(value - wick_green(times, 1.0)) <= 1e-3  # O(h^2) difference error
+
+
+def test_ks_search_on_the_bundled_rays(benchmark):
+    rays = peres33_rays()
+    result = benchmark(ks_noncontextual_search, rays)
+    assert not result.satisfiable and result.exhausted
+    assert result.nodes == 28
+
+
+def test_render_json_of_a_report(benchmark):
+    rng = np.random.default_rng(7)
+    rows = [
+        {"theta": float(t), "p": np.float64(np.cos(t / 2) ** 2), "ok": np.bool_(True)}
+        for t in rng.uniform(0.0, np.pi, 50)
+    ]
+    doc = build_envelope("spin-demo", 7, {"samples": np.int64(100)}, {"angles": rows})
+    text = benchmark(render_json, doc)
+    assert text.endswith("}\n") and render_json(json.loads(text)) == text
+    loaded = json.loads(text)
+    assert loaded["parameters"] == {"samples": 100}
+    assert loaded["results"]["angles"][3]["p"] == float(rows[3]["p"])

@@ -434,3 +434,34 @@ class TestFunctionalDerivative:
         g = TimeGrid(-3.0, 3.0, 61)
         fd = functional_derivative_green(g, [0.0] * 4, 1.0, h=2e-2)
         assert abs(fd - 0.75) <= 1e-2
+
+
+class TestNonFiniteInputRejected:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: two_point(0.0, 1.0, math.nan),
+            lambda: wick_green([0.0, 1.0], math.nan),
+            lambda: wick_green([0.0, 1.0], math.inf),
+            lambda: fock_oracle_green([0.0, 1.0], math.nan),
+            lambda: wick_green([0.0, math.nan], 1.0),
+            lambda: fock_oracle_green([0.0, math.nan], 1.0),
+            lambda: functional_derivative_green(TimeGrid(0.0, 1.0, 11), [0.5, 0.5], math.nan),
+            lambda: TimeGrid(0.0, math.inf, 10),
+            lambda: ground_projector_limit(math.nan, 4),
+        ],
+        ids=[
+            "two-point-nan-omega",
+            "wick-nan-omega",
+            "wick-inf-omega",
+            "fock-nan-omega",
+            "wick-nan-time",
+            "fock-nan-time",
+            "derivative-nan-omega",
+            "grid-inf-bound",
+            "projector-nan-damping",
+        ],
+    )
+    def test_raises(self, call):
+        with pytest.raises(ValueError):
+            call()
