@@ -14,23 +14,23 @@ import time
 import click
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement
+from .algebra import AlgebraDescriptor
 from .contexts import ContextRegistry, context_from_observable
-from .ensembles import QuantumState, born_distribution, x_polarized
-from .gns import (
-    StateFunctional,
-    build_gns,
-    compression_identity_check,
-    vacuum_expectation,
-    verify_gns,
-)
+from .ensembles import born_distribution, x_polarized
+from .gns import StateFunctional, build_gns, pure_state_trials, verify_gns
 from .measurement import (
     ks_noncontextual_search,
     load_ray_csv,
     peres33_rays,
     spin_axis_observable,
 )
-from .oscillator import MAX_FOCK_CUTOFF, MAX_WICK_ORDER, fock_oracle_green, wick_green
+from .oscillator import (
+    FOCK_MARGIN,
+    MAX_FOCK_CUTOFF,
+    MAX_WICK_ORDER,
+    fock_oracle_green,
+    wick_green,
+)
 from .reports import build_envelope, render_csv, render_json, write_text
 
 STAT_BAND = 4.0  # standard-error multiplier for statistical checks
@@ -256,7 +256,7 @@ def green(order, omega, times, cutoff, seed, out, fmt):
             "n": order,
             "omega": omega,
             "times": time_list,
-            "cutoff": cutoff if cutoff is not None else order + 6,
+            "cutoff": cutoff if cutoff is not None else order + FOCK_MARGIN,
         },
         {
             "wick": {"re": wick.real, "im": wick.imag},
@@ -300,29 +300,9 @@ def gns_check(dimension, trials, seed, out, fmt):
         _note("warning: --trials 0 is a vacuous pass")
     algebra = AlgebraDescriptor(dimension)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    expectation_residual = 0.0
-    compression_residual = 0.0
-    rank_ok = True
-    for _ in range(trials):
-        raw = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
-        psi = QuantumState(raw / np.linalg.norm(raw), algebra)
-        functional = StateFunctional.from_quantum_state(psi)
-        space = build_gns(functional)
-        rank_ok = rank_ok and space.rank == dimension
-        element = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
-            size=(dimension, dimension)
-        )
-        element = AlgebraElement(element, algebra)
-        expectation_residual = max(
-            expectation_residual,
-            abs(vacuum_expectation(space, element) - functional.value(element)),
-        )
-        hermitian = AlgebraElement(
-            0.5 * (element.matrix + element.matrix.conj().T), algebra
-        )
-        compression_residual = max(
-            compression_residual, compression_identity_check(psi, hermitian, rng)
-        )
+    expectation_residual, compression_residual, rank_ok = pure_state_trials(
+        algebra, trials, rng
+    )
     tracial = build_gns(StateFunctional.tracial(algebra))
     tracial_rank = tracial.rank
     rank_ok = rank_ok and tracial_rank == dimension**2

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, norm
+from .algebra import AlgebraDescriptor, AlgebraElement
 from .ensembles import QuantumState
 from .states import _unit_vector
 
@@ -30,6 +30,7 @@ __all__ = [
     "represent",
     "vacuum_expectation",
     "compression_identity_check",
+    "pure_state_trials",
     "class_equality_check",
     "seminorm_ideal",
     "verify_gns",
@@ -37,6 +38,8 @@ __all__ = [
 
 RANK_CUTOFF = 1e-10
 CLASS_TOL = 1e-9  # classes this close are one point of the quotient
+TRIAL_CHUNK = 128  # pure-state trials stacked per batch, so memory is bounded
+COMPRESSION_SAMPLES = 8  # random elements per compression-invariance check
 
 
 class StateFunctional:
@@ -124,9 +127,13 @@ def _block_spectra(matrix: np.ndarray, blocks):
 
 
 def _kron_identity(mat: np.ndarray, r: int) -> np.ndarray:
-    """mat (x) I_r by one broadcast product (``np.kron`` costs more here)."""
-    n = mat.shape[0]
-    return (mat[:, None, :, None] * np.eye(r)[None, :, None, :]).reshape(n * r, n * r)
+    """mat (x) I_r by one broadcast product (``np.kron`` costs more here).
+
+    ``mat`` may be a stack of matrices; each item is expanded.
+    """
+    n = mat.shape[-1]
+    wide = mat[..., :, None, :, None] * np.eye(r)[:, None, :]
+    return wide.reshape(mat.shape[:-2] + (n * r, n * r))
 
 
 def _block_diag(parts) -> np.ndarray:
@@ -226,11 +233,38 @@ def vacuum_expectation(space: GnsSpace, element: AlgebraElement) -> complex:
     return complex(np.vdot(cyclic, space.represent(element) @ cyclic))
 
 
+def _compression_residuals(p, a, raw) -> list[float]:
+    """Per-item residuals of the compression identity p A p = Psi(A) p.
+
+    ``p`` is a stack of state projectors, ``a`` a stack of elements and
+    ``raw`` a stack of sample batches, one per item.  Each item's residual is
+    the worst of the C*-norm ||p A p - Psi(A) p|| (the square root of the top
+    eigenvalue of R*R, as ``norm`` takes it) and the invariance gaps
+    |Psi(S) - Psi(p S p)| over its samples; the stacked products give the
+    bits the per-item products give.
+    """
+    # The sandwiched expectation is complex for non-Hermitian elements.
+    value = np.trace(p @ a, axis1=1, axis2=2)
+    gap = p @ a @ p - value[:, None, None] * p
+    tops = np.linalg.eigvalsh(gap.conj().transpose(0, 2, 1) @ gap)[:, -1]
+    norms = np.sqrt(np.maximum(tops, 0.0))
+    sandwiched = p[:, None] @ raw @ p[:, None]
+    # Psi(S) = trace(p S) against Psi(p S p); a stacked form of these sums
+    # rounds differently, so they stay per item
+    invariance = [
+        np.abs(
+            np.einsum("ij,sji->s", pk, rk) - np.einsum("ij,sji->s", pk, sk)
+        ).max(initial=0.0)
+        for pk, rk, sk in zip(p, raw, sandwiched)
+    ]
+    return [max(float(r), float(i)) for r, i in zip(norms, invariance)]
+
+
 def compression_identity_check(
     psi: QuantumState,
     element: AlgebraElement,
     rng=None,
-    samples: int = 8,
+    samples: int = COMPRESSION_SAMPLES,
 ) -> float:
     """Residual of the compression identity p A p = Psi(A) p.
 
@@ -238,13 +272,6 @@ def compression_identity_check(
     Psi(S) = Psi(p S p), on random elements; the returned value is the
     worst residual of both checks.
     """
-    p = psi.projector.matrix
-    # The sandwiched expectation is complex for non-Hermitian elements.
-    value = complex(np.trace(p @ element.matrix))
-    compressed = p @ element.matrix @ p
-    residual = norm(
-        AlgebraElement(compressed - value * p, psi.algebra)
-    )
     rng = rng if rng is not None else np.random.default_rng(0)
     n = psi.algebra.dimension
     # one (sample, re/im, n, n) draw consumes the generator exactly as
@@ -253,10 +280,76 @@ def compression_identity_check(
     raw = draws[:, 0] + 1j * draws[:, 1]
     if not psi.algebra.is_full:
         raw = raw * psi.algebra.block_mask()
-    # Psi(S) = trace(p S) against Psi(p S p), sample by sample
-    direct = np.einsum("ij,sji->s", p, raw)
-    sandwiched = np.einsum("ij,sji->s", p, p @ raw @ p)
-    return max(residual, float(np.abs(direct - sandwiched).max(initial=0.0)))
+    p = psi.projector.matrix
+    return _compression_residuals(p[None], element.matrix[None], raw[None])[0]
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each row over its length, as ``np.linalg.norm`` takes it bit for bit.
+
+    The norm is the dot product of the strided real parts plus that of the
+    imaginary parts; a stacked row-times-column product is that same dot,
+    where ``einsum`` or a summed square round differently.
+    """
+    re, im = vectors.real, vectors.imag
+    square = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return vectors / np.sqrt(square[:, 0])
+
+
+def pure_state_trials(algebra: AlgebraDescriptor, trials: int, rng):
+    """Born-rule and compression checks on ``trials`` random pure states.
+
+    Each trial draws, in this order, a vector tau, an element A and the
+    compression samples.  It checks that the cyclic vector of the GNS space
+    of Psi = <tau, . tau> gives <cyclic, Pi(A) cyclic> = Psi(A), and that
+    the compression identity holds for the Hermitian part of A.  Returned
+    are the worst expectation residual, the worst compression residual and
+    whether every GNS space had rank n.
+
+    The trials run as stacked batches of ``TRIAL_CHUNK``; every residual
+    and the generator's state afterwards are bit for bit those of looping
+    over ``QuantumState``, ``build_gns(StateFunctional...)``,
+    ``vacuum_expectation`` and ``compression_identity_check`` trial by trial.
+    """
+    if not algebra.is_full:
+        raise ValueError("pure-state trials run on a full matrix algebra")
+    n = algebra.dimension
+    expectation, compression, rank_ok = 0.0, 0.0, True
+    for start in range(0, trials, TRIAL_CHUNK):
+        m = min(TRIAL_CHUNK, trials - start)
+        # one row per trial: vector re, im; element re, im; samples
+        draws = rng.normal(size=(m, 2 * n + (2 + 2 * COMPRESSION_SAMPLES) * n * n))
+        raw = draws[:, :n] + 1j * draws[:, n : 2 * n]
+        element = draws[:, 2 * n : 2 * n + 2 * n * n].reshape(m, 2, n, n)
+        element = element[:, 0] + 1j * element[:, 1]
+        samples = draws[:, 2 * n + 2 * n * n :].reshape(m, COMPRESSION_SAMPLES, 2, n, n)
+        samples = samples[:, :, 0] + 1j * samples[:, :, 1]
+        # the per-trial route normalizes three times: the caller,
+        # QuantumState (its vector gives p) and from_vector (it gives rho)
+        state = _unit_rows(_unit_rows(raw))
+        vector = _unit_rows(state)
+        rho = vector[:, :, None] * vector.conj()[:, None, :]
+        values, vectors = np.linalg.eigh(rho)
+        cutoff = RANK_CUTOFF * np.maximum(values[:, -1], 0.0)
+        # eigh sorts ascending, so the kept eigenvalues are the last ones
+        kept = (values > cutoff[:, None]).sum(axis=1)
+        rank_ok = rank_ok and bool((kept == 1).all())
+        vacuum = np.empty(m, dtype=np.complex128)
+        for k in np.unique(kept):
+            rows = kept == k
+            low = n - k
+            factor = vectors[rows, :, low:] * np.sqrt(values[rows, None, low:])
+            cyclic = factor.reshape(-1, n * k)
+            image = _kron_identity(element[rows], k) @ cyclic[:, :, None]
+            vacuum[rows] = (cyclic.conj()[:, None, :] @ image)[:, 0, 0]
+        value = np.trace(rho @ element, axis1=1, axis2=2)
+        for gap in (vacuum - value).tolist():
+            expectation = max(expectation, abs(gap))
+        hermitian = 0.5 * (element + element.conj().transpose(0, 2, 1))
+        p = state[:, :, None] * state.conj()[:, None, :]
+        for residual in _compression_residuals(p, hermitian, samples):
+            compression = max(compression, residual)
+    return expectation, compression, rank_ok
 
 
 def class_equality_check(space: GnsSpace, p: AlgebraElement) -> bool:

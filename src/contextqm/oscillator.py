@@ -45,6 +45,8 @@ MAX_WICK_ORDER = 12
 # the oracle multiplies dense cutoff x cutoff complex matrices: 512 levels
 # take 4 MiB each, and any cutoff above the order is already exact
 MAX_FOCK_CUTOFF = 512
+# levels the oracle keeps above the order when no cutoff is given
+FOCK_MARGIN = 6
 
 
 class CoarseGridWarning(UserWarning):
@@ -175,14 +177,14 @@ def fock_oracle_green(times, omega: float, cutoff: int | None = None) -> complex
     result is the vacuum-vacuum matrix element, i.e. the coefficient
     multiplying the ground projector after compressing the ordered
     product.  Position couples adjacent levels only, so any cutoff above
-    the order is exact; the default keeps a margin of 6.  A cutoff above
-    MAX_FOCK_CUTOFF is rejected.
+    the order is exact; the default keeps FOCK_MARGIN levels above it.  A
+    cutoff above MAX_FOCK_CUTOFF is rejected.
     """
     times = _finite_times(times)
     _check_omega(omega)
     n = len(times)
     if cutoff is None:
-        cutoff = n + 6
+        cutoff = n + FOCK_MARGIN
     if cutoff < n + 2:
         raise ValueError(f"cutoff {cutoff} too small for an order-{n} correlation")
     if cutoff > MAX_FOCK_CUTOFF:
@@ -280,6 +282,8 @@ def hamiltonian_sandwich_residual(r: float, omega: float, cutoff: int) -> float:
     omega * max_k k exp(-2rk), dominated by the first excited level once
     r is order one.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
     _check_omega(omega)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
@@ -374,6 +378,8 @@ class SourceFunction:
         samples = np.asarray(self.samples, dtype=float)
         if samples.shape != (self.grid.steps,):
             raise ValueError("sample count does not match the grid")
+        if not np.isfinite(samples).all():
+            raise ValueError("source samples must all be finite")
         object.__setattr__(self, "samples", samples)
 
     @classmethod

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -236,11 +237,14 @@ class TestGnsCheck:
     def test_one_eigensolve_per_functional(self, runner, eigensolves, n):
         # the 100 pure functionals and the tracial one eigensolve their single
         # block once each, and building their GNS spaces adds none; the other
-        # 100 are the compression check's norm
+        # 100 are the compression check's norm.  The 100 trials fit in one
+        # stacked batch: one call solves every rho, one every compression
+        # gap, and the tracial functional makes the third call
         result = runner.invoke(main, ["gns-check", "--n", str(n), "--trials", "100"])
         assert result.exit_code == 0
-        assert len(eigensolves) == 201
-        assert set(eigensolves) == {(n, n)}
+        assert sum(math.prod(shape[:-2]) for shape in eigensolves) == 201
+        assert len(eigensolves) == 3
+        assert {shape[-2:] for shape in eigensolves} == {(n, n)}
 
     def test_dimension_range_enforced(self, runner):
         result = runner.invoke(main, ["gns-check", "--n", "9"])

@@ -1,16 +1,21 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint
 from contextqm.ensembles import QuantumState
+from contextqm import gns
 from contextqm.gns import (
     RANK_CUTOFF,
+    TRIAL_CHUNK,
     StateFunctional,
     build_gns,
     class_equality_check,
     compression_identity_check,
     matrix_units,
+    pure_state_trials,
     represent,
     seminorm_ideal,
     vacuum_expectation,
@@ -450,3 +455,77 @@ class TestVerify:
             ):
                 assert report[key] <= 1e-10
             assert report["samples"] == 25
+
+
+def _per_trial_loop(algebra, trials, rng):
+    """The trial-by-trial route through the public GNS functions.
+
+    Kept as the oracle of ``pure_state_trials``: it is the loop ``gns-check``
+    ran before the trials were stacked, so their residuals must be equal.
+    """
+    dimension = algebra.dimension
+    expectation_residual = 0.0
+    compression_residual = 0.0
+    rank_ok = True
+    for _ in range(trials):
+        raw = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
+        psi = QuantumState(raw / np.linalg.norm(raw), algebra)
+        functional = StateFunctional.from_quantum_state(psi)
+        space = build_gns(functional)
+        rank_ok = rank_ok and space.rank == dimension
+        element = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
+            size=(dimension, dimension)
+        )
+        element = AlgebraElement(element, algebra)
+        expectation_residual = max(
+            expectation_residual,
+            abs(vacuum_expectation(space, element) - functional.value(element)),
+        )
+        hermitian = AlgebraElement(
+            0.5 * (element.matrix + element.matrix.conj().T), algebra
+        )
+        compression_residual = max(
+            compression_residual, compression_identity_check(psi, hermitian, rng)
+        )
+    return expectation_residual, compression_residual, rank_ok
+
+
+class TestStackedPureStateTrials:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_per_trial_loop(self, n):
+        # one oracle pass of 300 trials per seed, checked after each count
+        counts = (0, 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 300)
+        algebra = AlgebraDescriptor(n)
+        for seed in range(10):
+            oracle_rng = np.random.default_rng(seed)
+            worst = (0.0, 0.0, True)
+            for done in range(counts[-1] + 1):
+                if done in counts:
+                    batch_rng = np.random.default_rng(seed)
+                    assert pure_state_trials(algebra, done, batch_rng) == worst
+                    # the same draws were consumed
+                    assert batch_rng.normal() == copy.deepcopy(oracle_rng).normal()
+                expectation, compression, rank_ok = _per_trial_loop(algebra, 1, oracle_rng)
+                worst = (
+                    max(worst[0], expectation),
+                    max(worst[1], compression),
+                    worst[2] and rank_ok,
+                )
+        assert worst[2] is True
+        assert worst[0] <= 1e-10 and worst[1] <= 1e-10
+
+    def test_ranks_that_differ_within_a_chunk(self, monkeypatch):
+        # a zero cutoff keeps the positive roundoff eigenvalues of each rho,
+        # so one chunk holds GNS spaces of several ranks
+        monkeypatch.setattr(gns, "RANK_CUTOFF", 0.0)
+        for n in (2, 4, 6):
+            algebra = AlgebraDescriptor(n)
+            oracle_rng, batch_rng = np.random.default_rng(3), np.random.default_rng(3)
+            oracle = _per_trial_loop(algebra, 150, oracle_rng)
+            assert pure_state_trials(algebra, 150, batch_rng) == oracle
+            assert batch_rng.normal() == oracle_rng.normal()
+            assert oracle[2] is False
+
+    def test_block_algebra_rejected(self, rng):
+        with pytest.raises(ValueError, match="full"):
+            pure_state_trials(AlgebraDescriptor(3, (1, 2)), 5, rng)

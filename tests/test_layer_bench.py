@@ -18,7 +18,7 @@ from contextqm.contexts import (
     interpolated_generator,
 )
 from contextqm.ensembles import QuantumState, ensemble_average
-from contextqm.gns import StateFunctional, build_gns, vacuum_expectation
+from contextqm.gns import StateFunctional, build_gns, pure_state_trials, vacuum_expectation
 from contextqm.measurement import Instrument, ks_noncontextual_search, measure, peres33_rays
 from contextqm.oscillator import (
     TimeGrid,
@@ -96,6 +96,20 @@ def test_pure_functional_and_build_gns(benchmark, n):
     element = random_element(n, rng)
     expected = np.vdot(vector, element.matrix @ vector)
     assert abs(vacuum_expectation(space, element) - expected) <= 1e-12
+
+
+def test_pure_state_trials_batch(benchmark):
+    # gns-check's default: 100 pure-state trials at n = 3, one stacked batch
+    algebra = AlgebraDescriptor(3)
+
+    def fresh():
+        return (algebra, 100, np.random.default_rng(7)), {}
+
+    expectation, compression, rank_ok = benchmark.pedantic(
+        pure_state_trials, setup=fresh, rounds=50
+    )
+    assert rank_ok is True
+    assert expectation <= 1e-10 and compression <= 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 6])

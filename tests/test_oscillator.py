@@ -465,3 +465,24 @@ class TestNonFiniteInputRejected:
     def test_raises(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hamiltonian_sandwich_residual(math.nan, 1.0, 4),
+            lambda: hamiltonian_sandwich_residual(math.inf, 1.0, 4),
+            lambda: SourceFunction(TimeGrid(0.0, 1.0, 11), [math.nan] + [0.0] * 10),
+            lambda: generating_functional(
+                SourceFunction(TimeGrid(0.0, 1.0, 11), [0.0] * 10 + [math.inf]), 1.0
+            ),
+        ],
+        ids=[
+            "sandwich-nan-damping",
+            "sandwich-inf-damping",
+            "source-nan-sample",
+            "source-inf-sample",
+        ],
+    )
+    def test_damping_and_source_samples_must_be_finite(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call()
