@@ -32,6 +32,7 @@ from .oscillator import (
     wick_green,
 )
 from .reports import build_envelope, render_csv, render_json, write_text
+from .states import count_draws
 
 STAT_BAND = 4.0  # standard-error multiplier for statistical checks
 GNS_THRESHOLD = 1e-10
@@ -39,12 +40,22 @@ GREEN_THRESHOLD = 1e-8
 
 
 def _emit(doc: dict, fmt: str, out: str | None, rows: list[dict]):
-    """Write ``doc`` as JSON, or ``rows`` as CSV under the envelope fields."""
+    """Write ``doc`` as JSON, or ``rows`` as CSV under the envelope fields.
+
+    An ``--out`` file that cannot be written, say in a missing directory,
+    is a one-line error with exit code 1.
+    """
     if fmt == "json":
-        write_text(render_json(doc), out)
+        text = render_json(doc)
     else:
         preamble = {key: doc[key] for key in ("schema_version", "command", "seed")}
-        write_text(render_csv(rows, preamble), out)
+        text = render_csv(rows, preamble)
+    try:
+        write_text(text, out)
+    except OSError as exc:
+        if out is None or out == "-":
+            raise
+        raise click.FileError(out, hint=exc.strerror or str(exc)) from exc
 
 
 def _note(text: str):
@@ -124,8 +135,8 @@ def spin_demo(thetas, sample_count, seed, out, fmt):
         reads = ctx.diagonal_values(observable)
         plus_index = int(np.argmax(reads))  # the +1 eigenvalue's slot
         exact = float(probs[plus_index])
-        draws = rng.choice(2, size=sample_count, p=probs / probs.sum())
-        frequency = float(np.mean(draws == plus_index))
+        counts = count_draws(probs / probs.sum(), rng, sample_count)
+        frequency = float(counts[plus_index] / sample_count)
         se = float(np.sqrt(max(frequency * (1 - frequency), 0.0) / sample_count))
         deviation = abs(frequency - exact)
         band = STAT_BAND * se
@@ -244,10 +255,17 @@ def green(order, omega, times, cutoff, seed, out, fmt):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         time_list = [float(t) for t in rng.uniform(-5.0, 5.0, size=order)]
     try:  # the routes reject a bad omega, a non-finite time and a bad cutoff
-        wick = wick_green(time_list, omega)
-        fock = fock_oracle_green(time_list, omega, cutoff)
+        # an overflow is reported below, as a non-finite route value
+        with np.errstate(over="ignore", invalid="ignore"):
+            wick = wick_green(time_list, omega)
+            fock = fock_oracle_green(time_list, omega, cutoff)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
+    if not (np.isfinite(wick) and np.isfinite(fock)):
+        raise click.BadParameter(
+            f"a route overflows (Wick {wick}, Fock {fock})",
+            param_hint="'--omega' / '--times'",
+        )
     difference = abs(wick - fock)
     doc = build_envelope(
         "green",

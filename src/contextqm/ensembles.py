@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint, spectrum
 from .contexts import Context, IncompatibleObservableError
-from .states import ElementaryState, agreeing
+from .states import ElementaryState, agreeing, draw_indices
 
 __all__ = [
     "QuantumState",
@@ -191,8 +191,7 @@ def ensemble_average(
     if reads is None:
         raise IncompatibleObservableError("observable is not contained in the context")
     probs = born_distribution(psi, ctx)
-    indices = rng.choice(ctx.dimension, size=sample_count, p=probs / probs.sum())
-    values = reads[indices]
+    values = reads[draw_indices(probs / probs.sum(), rng, sample_count)]
 
     points = spectrum(element)
     histogram: dict = {}
@@ -268,8 +267,7 @@ def instrument_independence_report(
         for p, r in zip(probs, reads)
     )
     values1, values2 = (
-        r[rng.choice(ctx.dimension, size=sample_count, p=p / p.sum())]
-        for ctx, p, r in zip(contexts, probs, reads)
+        r[draw_indices(p / p.sum(), rng, sample_count)] for p, r in zip(probs, reads)
     )
 
     thresholds = []

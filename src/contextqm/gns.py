@@ -38,7 +38,7 @@ __all__ = [
 
 RANK_CUTOFF = 1e-10
 CLASS_TOL = 1e-9  # classes this close are one point of the quotient
-TRIAL_CHUNK = 128  # pure-state trials stacked per batch, so memory is bounded
+TRIAL_CHUNK = 128  # trials or samples stacked per batch, so memory is bounded
 COMPRESSION_SAMPLES = 8  # random elements per compression-invariance check
 
 
@@ -132,20 +132,24 @@ def _kron_identity(mat: np.ndarray, r: int) -> np.ndarray:
     ``mat`` may be a stack of matrices; each item is expanded.
     """
     n = mat.shape[-1]
-    wide = mat[..., :, None, :, None] * np.eye(r)[:, None, :]
+    # a C-ordered product, so the reshape is a view whatever mat's layout
+    wide = np.multiply(mat[..., :, None, :, None], np.eye(r)[:, None, :], order="C")
     return wide.reshape(mat.shape[:-2] + (n * r, n * r))
 
 
 def _block_diag(parts) -> np.ndarray:
-    """Square matrices laid along the diagonal of one complex matrix."""
+    """Square matrices laid along the diagonal of one complex matrix.
+
+    The parts may be equal-length stacks of matrices; each item is laid out.
+    """
     if len(parts) == 1:
         return parts[0]
-    size = sum(part.shape[0] for part in parts)
-    out = np.zeros((size, size), dtype=np.complex128)
+    size = sum(part.shape[-1] for part in parts)
+    out = np.zeros(parts[0].shape[:-2] + (size, size), dtype=np.complex128)
     offset = 0
     for part in parts:
-        end = offset + part.shape[0]
-        out[offset:end, offset:end] = part
+        end = offset + part.shape[-1]
+        out[..., offset:end, offset:end] = part
         offset = end
     return out
 
@@ -178,27 +182,38 @@ class GnsSpace:
 
     # -- maps -----------------------------------------------------------------
 
+    def _classes(self, mat: np.ndarray) -> np.ndarray:
+        """Class vectors of a matrix, or of each item of a stack of them."""
+        lead = mat.shape[:-2]
+        return np.concatenate(
+            [
+                (mat[..., b, b] @ w).reshape(lead + (-1,))
+                for b, w in zip(self._blocks, self._factors)
+            ],
+            axis=-1,
+        )
+
+    def _represent(self, mat: np.ndarray) -> np.ndarray:
+        """GNS operators of a matrix, or of each item of a stack of them."""
+        return _block_diag(
+            [
+                _kron_identity(mat[..., b, b], w.shape[1])
+                for b, w in zip(self._blocks, self._factors)
+            ]
+        )
+
     def class_vector(self, element: AlgebraElement) -> np.ndarray:
         """The r-vector of the element's equivalence class, with
         <class_vector(R), class_vector(S)> = Psi(R* S)."""
         if element.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        mat = element.matrix
-        return np.concatenate(
-            [(mat[b, b] @ w).reshape(-1) for b, w in zip(self._blocks, self._factors)]
-        )
+        return self._classes(element.matrix)
 
     def represent(self, element: AlgebraElement) -> np.ndarray:
         """The GNS operator: left multiplication pushed to the quotient."""
         if element.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        mat = element.matrix
-        return _block_diag(
-            [
-                _kron_identity(mat[b, b], w.shape[1])
-                for b, w in zip(self._blocks, self._factors)
-            ]
-        )
+        return self._represent(element.matrix)
 
     def cyclic_vector(self) -> np.ndarray:
         """The class of the identity: the concatenated vec(W_b)."""
@@ -406,44 +421,56 @@ def verify_gns(space: GnsSpace, samples: int, rng) -> dict:
     representation, and the cyclic-expectation identity.  All residuals
     are hard-thresholded by the caller (the CLI's ``gns-check`` exits
     nonzero when any exceeds 1e-10).
+
+    Each sample draws an element R, then an element S, each as its real
+    then imaginary part.  The samples run as stacked batches of
+    ``TRIAL_CHUNK``; every residual and the generator's state afterwards
+    are bit for bit those of checking ``AlgebraElement`` pairs one by one
+    through ``class_vector``, ``represent``, ``vacuum_expectation`` and
+    the functional's ``value``.
     """
-    n = space.algebra.dimension
-
-    def random_element():
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        if not space.algebra.is_full:
-            mask = space.algebra.block_mask()
-            raw = raw * mask
-        return AlgebraElement(raw, space.algebra)
-
+    algebra = space.algebra
+    n = algebra.dimension
+    rho = space.functional._rho
+    cyclic = space.cyclic_vector()
     scalar_residual = 0.0
     homomorphism_residual = 0.0
     adjoint_residual = 0.0
     expectation_residual = 0.0
-    for _ in range(samples):
-        r, s = random_element(), random_element()
-        scalar_residual = max(
-            scalar_residual,
-            abs(
-                np.vdot(space.class_vector(r), space.class_vector(s))
-                - space.functional.value(r.adjoint() * s)
-            ),
-        )
-        pi_r, pi_s = space.represent(r), space.represent(s)
+    for start in range(0, samples, TRIAL_CHUNK):
+        m = min(TRIAL_CHUNK, samples - start)
+        # one row per sample: R re, R im, S re, S im
+        draws = rng.normal(size=(m, 4, n, n))
+        r = draws[:, 0] + 1j * draws[:, 1]
+        s = draws[:, 2] + 1j * draws[:, 3]
+        if not algebra.is_full:
+            mask = algebra.block_mask()
+            r, s = r * mask, s * mask
+        # a transposed view: the layout of the copy AlgebraElement makes of
+        # R*, so the products below take the per-sample products' bits
+        r_star = r.conj().transpose(0, 2, 1)
+        psi_r_star_s = np.trace(rho @ (r_star @ s), axis1=1, axis2=2)
+        psi_s = np.trace(rho @ s, axis1=1, axis2=2)
+        class_r, class_s = space._classes(r), space._classes(s)
+        pi_r, pi_s = space._represent(r), space._represent(s)
+        vacuum = pi_s @ cyclic
+        # vdot and a Python abs of Python complex values give the per-sample
+        # bits; a stacked dot or np.abs on a complex array round differently
+        for k in range(m):
+            scalar_residual = max(
+                scalar_residual,
+                abs(complex(np.vdot(class_r[k], class_s[k])) - complex(psi_r_star_s[k])),
+            )
+            expectation_residual = max(
+                expectation_residual,
+                abs(complex(np.vdot(cyclic, vacuum[k])) - complex(psi_s[k])),
+            )
+        homomorphism_gap = pi_r @ pi_s - space._represent(r @ s)
         homomorphism_residual = max(
-            homomorphism_residual,
-            float(np.abs(pi_r @ pi_s - space.represent(r * s)).max(initial=0.0)),
+            homomorphism_residual, float(np.abs(homomorphism_gap).max(initial=0.0))
         )
-        adjoint_residual = max(
-            adjoint_residual,
-            float(
-                np.abs(space.represent(r.adjoint()) - pi_r.conj().T).max(initial=0.0)
-            ),
-        )
-        expectation_residual = max(
-            expectation_residual,
-            abs(vacuum_expectation(space, s) - space.functional.value(s)),
-        )
+        adjoint_gap = space._represent(r_star) - pi_r.conj().transpose(0, 2, 1)
+        adjoint_residual = max(adjoint_residual, float(np.abs(adjoint_gap).max(initial=0.0)))
     return {
         "rank": space.rank,
         "samples": samples,

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 ORTHOGONALITY_TOL = 1e-9
+SAME_RAY_TOL = 1e-9  # rays with |<u, v>| >= 1 - SAME_RAY_TOL are one ray
 
 # sha256 of the bundled 33-ray coordinate file; refuse to run on a
 # corrupted or edited copy
@@ -402,15 +403,24 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
 
 
 def load_ray_csv(path) -> np.ndarray:
-    """Read rays from CSV lines "x,y,z"; '#' starts a comment; normalizes."""
+    """Read rays from CSV lines "x,y,z"; '#' starts a comment; normalizes.
+
+    A ray listed twice, as a parallel or antiparallel row, would be two
+    variables for one projector, so it is rejected with both line numbers.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        rays = parse_float_csv(handle.read(), 3, f"ray file {path}")
+        rays, lines = parse_float_csv(handle.read(), 3, f"ray file {path}")
     if not len(rays):
         raise ValueError("ray file contains no rays")
     norms = np.linalg.norm(rays, axis=1)
     if norms.min() < 1e-12:
         raise ValueError("ray file contains a zero vector")
-    return rays / norms[:, None]
+    rays = rays / norms[:, None]
+    same = np.argwhere(np.triu(np.abs(rays @ rays.T) >= 1.0 - SAME_RAY_TOL, 1))
+    if len(same):
+        first, second = (lines[k] for k in same[0])
+        raise ValueError(f"ray file {path}, lines {first} and {second}: the same ray twice")
+    return rays
 
 
 def peres33_rays() -> np.ndarray:
@@ -422,5 +432,5 @@ def peres33_rays() -> np.ndarray:
         raise RuntimeError(
             f"bundled ray file failed its checksum ({digest}); refusing to use it"
         )
-    rays = parse_float_csv(raw.decode("utf-8"), 3, "bundled ray file")
+    rays, _ = parse_float_csv(raw.decode("utf-8"), 3, "bundled ray file")
     return rays / np.linalg.norm(rays, axis=1)[:, None]

@@ -390,7 +390,7 @@ class SourceFunction:
     def from_csv(cls, path) -> "SourceFunction":
         """Read "t,j" lines ('#' comments); the times must be uniform."""
         with open(path, "r", encoding="utf-8") as handle:
-            rows = parse_float_csv(handle.read(), 2, f"source file {path}")
+            rows, _ = parse_float_csv(handle.read(), 2, f"source file {path}")
         if len(rows) < 2:
             raise ValueError("source file needs at least 2 samples")
         times, values = rows[:, 0], rows[:, 1]

@@ -77,14 +77,15 @@ def write_text(text: str, out_path: str | None):
             handle.write(text)
 
 
-def parse_float_csv(text: str, columns: int, source: str) -> np.ndarray:
-    """Rows of ``columns`` comma-separated finite floats, as a 2-D array.
+def parse_float_csv(text: str, columns: int, source: str) -> tuple[np.ndarray, list[int]]:
+    """Rows of ``columns`` comma-separated finite floats, as a 2-D array,
+    with the line number of each row.
 
     '#' starts a comment and blank lines are skipped; any other line
     must hold exactly ``columns`` finite numbers, or ``ValueError`` names
     ``source`` and the line.
     """
-    rows = []
+    rows, numbers = [], []
     for number, line in enumerate(text.splitlines(), start=1):
         fields = line.split("#", 1)[0].strip()
         if not fields:
@@ -98,4 +99,5 @@ def parse_float_csv(text: str, columns: int, source: str) -> np.ndarray:
                 f"{source}, line {number}: expected {columns} finite numbers: {fields!r}"
             )
         rows.append(row)
-    return np.array(rows, dtype=float).reshape(-1, columns)
+        numbers.append(number)
+    return np.array(rows, dtype=float).reshape(-1, columns), numbers

@@ -10,7 +10,9 @@ materialized later can be conditioned on it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,15 +28,82 @@ __all__ = [
     "construct_stable_on",
     "is_stable",
     "check_character_properties",
+    "draw_indices",
+    "count_draws",
 ]
 
 # cross-context agreement threshold for stability
 STABILITY_TOL = 1e-9
+# how far from 1 Born weights may sum, as ``Generator.choice`` allows
+SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+DRAW_CHUNK = 1 << 16  # uniforms per batch in count_draws, so memory stays flat
 
 
 def agreeing(reads: np.ndarray, value: float) -> np.ndarray:
     """Mask of the context reads that agree with ``value`` to ``STABILITY_TOL``."""
     return np.abs(reads - value) <= STABILITY_TOL * max(1.0, abs(value))
+
+
+def _cdf(probs) -> list[float]:
+    """The normalized cumulative weights that ``Generator.choice`` searches.
+
+    ``probs`` holds at least one float64 weight.  It gets the checks
+    ``choice`` makes on ``p``, in its order and with the start of its
+    messages: the Kahan sum is not NaN, no entry is negative and the sum is
+    1 within ``SUM_TOL``.  The running sums and the division by the last one are
+    those of ``cdf = p.cumsum(); cdf /= cdf[-1]``, in Python floats, which
+    cost less than array calls at the few weights of a context.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    values = p.tolist()
+    total, carry = values[0], 0.0
+    for value in values[1:]:
+        step = value - carry
+        grown = total + step
+        carry = (grown - total) - step
+        total = grown
+    if total != total:
+        raise ValueError("Probabilities contain NaN")
+    if min(values) < 0:  # no entry is NaN once the sum is not
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError("Probabilities do not sum to 1")
+    sums = list(accumulate(values))
+    return [c / sums[-1] for c in sums]
+
+
+def draw_indices(probs, rng, size=None):
+    """Indices drawn with the weights ``probs``, by inverse CDF.
+
+    Bit for bit ``rng.choice(len(probs), size, p=probs)``, and the
+    generator is left in the same state: an int for ``size=None``,
+    otherwise an index array of shape ``size``.
+    """
+    cdf = _cdf(probs)
+    if size is None:
+        return bisect_right(cdf, rng.random())
+    return np.searchsorted(cdf, rng.random(size), side="right")
+
+
+def count_draws(probs, rng, size: int) -> np.ndarray:
+    """How often each index comes up in ``draw_indices(probs, rng, size)``.
+
+    Index j is drawn when cdf[j - 1] <= u < cdf[j], so u < cdf[j] counts
+    the draws at or below j; no index array is formed.  The uniforms come
+    ``DRAW_CHUNK`` at a time, which draws the stream of one
+    ``rng.random(size)``, so memory does not grow with ``size``.
+    """
+    cdf = _cdf(probs)
+    at_or_below = [0] * (len(cdf) - 1)  # the last index takes every draw left
+    for start in range(0, size, DRAW_CHUNK):
+        uniforms = rng.random(min(DRAW_CHUNK, size - start))
+        at_or_below = [
+            count + int(np.count_nonzero(uniforms < c))
+            for count, c in zip(at_or_below, cdf)
+        ]
+    return np.diff([0, *at_or_below, size])
 
 
 def _unit_vector(vector) -> np.ndarray:
@@ -164,7 +233,7 @@ class ElementaryState:
                     f"layer for context {ctx.id} is absent and the state has "
                     "no randomness source to draw it"
                 )
-            index = int(admissible[rng.choice(admissible.size, p=weights)])
+            index = int(admissible[draw_indices(weights, rng)])
         layer = Character(ctx, index)
         self.layers[ctx.id] = layer
         return layer

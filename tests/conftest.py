@@ -45,3 +45,18 @@ def random_hermitian(n, rng, algebra=None):
 def random_unit_vector(n, rng):
     raw = rng.normal(size=n) + 1j * rng.normal(size=n)
     return raw / np.linalg.norm(raw)
+
+
+class ChoiceSpy:
+    """A generator that counts its ``choice`` calls and passes every call on."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self._rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)

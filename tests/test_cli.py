@@ -3,12 +3,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from contextqm import cli
 from contextqm.cli import main
 from contextqm.reports import _csv_cell
+from conftest import ChoiceSpy
 
 
 @pytest.fixture
@@ -16,9 +18,24 @@ def runner():
     return CliRunner()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _strict_json(text):
+    """The report as standard JSON: NaN and Infinity are refused."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def _report(result):
     assert result.exit_code == 0, result.output
-    return json.loads(result.stdout)
+    return _strict_json(result.stdout)
+
+
+def test_strict_json_refuses_non_finite_constants():
+    for text in ('{"re": NaN}', '{"re": Infinity}', '{"re": -Infinity}'):
+        with pytest.raises(ValueError, match="non-standard"):
+            _strict_json(text)
 
 
 class TestSpinDemo:
@@ -83,8 +100,22 @@ class TestSpinDemo:
             ["spin-demo", "-n", "1000", "--seed", "5", "--out", str(target)],
         )
         assert result.exit_code == 0
-        report = json.loads(target.read_text())
+        report = _strict_json(target.read_text())
         assert report["parameters"]["samples"] == 1000
+
+    def test_draws_without_choice(self, runner, monkeypatch):
+        args = ["spin-demo", "-n", "2000", "--seed", "4"]
+        expected = runner.invoke(main, args).stdout
+        spies = []
+        real_default_rng = np.random.default_rng
+
+        def spying_default_rng(*a, **k):
+            spies.append(ChoiceSpy(real_default_rng(*a, **k)))
+            return spies[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", spying_default_rng)
+        assert runner.invoke(main, args).stdout == expected
+        assert len(spies) == 4 and sum(spy.choices for spy in spies) == 0
 
 
 class TestKsSearch:
@@ -178,6 +209,19 @@ class TestGreen:
         assert "Traceback" not in result.output
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--n", "2", "--times", "1e308,-1e308"], ["--n", "4", "--omega", "1e-300"]],
+        ids=["nan-wick", "infinite-wick-nan-fock"],
+    )
+    def test_route_overflow_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["green", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "'--omega' / '--times'" in result.stderr and "overflows" in result.stderr
+        assert "Traceback" not in result.output and "RuntimeWarning" not in result.stderr
+        assert result.stdout == ""
+
     def test_cutoff_above_the_cap_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["green", "--n", "2", "--cutoff", "513"])
         assert result.exit_code == 2
@@ -259,7 +303,7 @@ class TestGnsCheck:
         monkeypatch.setattr(cli, "verify_gns", off_by_a_micro)
         result = runner.invoke(main, ["gns-check", "--trials", "5"])
         assert result.exit_code == 1
-        results = json.loads(result.stdout)["results"]
+        results = _strict_json(result.stdout)["results"]
         assert results["ok"] is False
         assert results["tracial_summary"]["homomorphism_residual"] == 1e-6
 
@@ -303,6 +347,28 @@ class TestReportEnvelope:
         joined = "\n".join(comments)
         assert "command: ks-search" in joined
         assert "schema_version: 1" in joined
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spin-demo", "-n", "100"],
+            ["ks-search"],
+            ["green", "--n", "2"],
+            ["gns-check", "--trials", "2"],
+        ],
+        ids=["spin-demo", "ks-search", "green", "gns-check"],
+    )
+    def test_missing_directory_is_one_error_line(self, runner, tmp_path, args):
+        target = tmp_path / "missing" / "report.json"
+        result = runner.invoke(main, [*args, "--out", str(target)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: Could not open file '{target}': No such file or directory"]
+        assert "Traceback" not in result.output
+        assert result.stdout == "" and not target.parent.exists()
 
 
 class TestSeedOption:

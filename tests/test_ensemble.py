@@ -25,7 +25,7 @@ from contextqm.measurement import (
     spin_axis_observable,
 )
 from contextqm.states import evaluate, is_stable
-from conftest import random_hermitian, random_unit_vector
+from conftest import ChoiceSpy, random_hermitian, random_unit_vector
 
 
 @pytest.fixture
@@ -189,6 +189,20 @@ class TestEnsembleAverage:
         )
         assert set(rep.histogram) == {-1.0, 1.0}
         assert sum(rep.histogram.values()) == 1000
+
+    def test_draws_without_choice_and_as_choice_draws(self, registry):
+        shared, c1, c2 = _x_shared_spin1_contexts(registry)
+        psi = QuantumState(np.array([0.6, 0.0, 0.8j]), shared.algebra)
+        for seed in range(5):
+            spy, oracle = ChoiceSpy(np.random.default_rng(seed)), np.random.default_rng(seed)
+            rep = ensemble_average(psi, shared, c1, 2000, spy)
+            probs = born_distribution(psi, c1)
+            values = c1.diagonal_values(shared)[
+                oracle.choice(c1.dimension, size=2000, p=probs / probs.sum())
+            ]
+            assert rep.empirical_mean == float(values.mean())
+            assert instrument_independence_report(psi, shared, c1, c2, 500, spy)["ok"]
+            assert spy.choices == 0
 
     def test_error_band_shrinks_with_sample_size(self, registry):
         # Quadrupling the sample count halves the statistical band.

@@ -457,6 +457,94 @@ class TestVerify:
             assert report["samples"] == 25
 
 
+def _per_sample_verify(space, samples, rng):
+    """The sample-by-sample route through ``AlgebraElement`` pairs.
+
+    Kept as the oracle of ``verify_gns``: it is the loop ``verify_gns`` ran
+    before the samples were stacked, so their reports must be equal.
+    """
+    n = space.algebra.dimension
+
+    def random_element():
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if not space.algebra.is_full:
+            raw = raw * space.algebra.block_mask()
+        return AlgebraElement(raw, space.algebra)
+
+    scalar_residual = 0.0
+    homomorphism_residual = 0.0
+    adjoint_residual = 0.0
+    expectation_residual = 0.0
+    for _ in range(samples):
+        r, s = random_element(), random_element()
+        scalar_residual = max(
+            scalar_residual,
+            abs(
+                np.vdot(space.class_vector(r), space.class_vector(s))
+                - space.functional.value(r.adjoint() * s)
+            ),
+        )
+        pi_r, pi_s = space.represent(r), space.represent(s)
+        homomorphism_residual = max(
+            homomorphism_residual,
+            float(np.abs(pi_r @ pi_s - space.represent(r * s)).max(initial=0.0)),
+        )
+        adjoint_residual = max(
+            adjoint_residual,
+            float(
+                np.abs(space.represent(r.adjoint()) - pi_r.conj().T).max(initial=0.0)
+            ),
+        )
+        expectation_residual = max(
+            expectation_residual,
+            abs(vacuum_expectation(space, s) - space.functional.value(s)),
+        )
+    return {
+        "rank": space.rank,
+        "samples": samples,
+        "scalar_product_residual": scalar_residual,
+        "homomorphism_residual": homomorphism_residual,
+        "adjoint_residual": adjoint_residual,
+        "expectation_residual": expectation_residual,
+    }
+
+
+class TestStackedVerify:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_per_sample_loop(self, n):
+        for algebra in (AlgebraDescriptor(n), AlgebraDescriptor(n, (1, n - 1))):
+            for seed in range(8):
+                vector = random_unit_vector(n, np.random.default_rng(100 + seed))
+                for functional in (
+                    StateFunctional.tracial(algebra),
+                    StateFunctional.from_vector(vector, algebra),
+                ):
+                    space = build_gns(functional)
+                    for samples in (0, 1, 20):
+                        oracle_rng = np.random.default_rng(seed)
+                        batch_rng = np.random.default_rng(seed)
+                        oracle = _per_sample_verify(space, samples, oracle_rng)
+                        assert verify_gns(space, samples, batch_rng) == oracle
+                        # the same draws were consumed
+                        assert batch_rng.normal() == oracle_rng.normal()
+
+    def test_more_samples_than_one_chunk(self):
+        space = build_gns(StateFunctional.tracial(AlgebraDescriptor(4, (3, 1))))
+        oracle_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
+        oracle = _per_sample_verify(space, TRIAL_CHUNK + 3, oracle_rng)
+        assert verify_gns(space, TRIAL_CHUNK + 3, batch_rng) == oracle
+        assert batch_rng.normal() == oracle_rng.normal()
+
+    def test_represents_no_element_one_by_one(self, monkeypatch):
+        space = build_gns(StateFunctional.tracial(AlgebraDescriptor(3)))
+
+        def refuse(self, element):
+            raise AssertionError("represent called per element")
+
+        monkeypatch.setattr(gns.GnsSpace, "represent", refuse)
+        assert verify_gns(space, 20, np.random.default_rng(0))["samples"] == 20
+
+
 def _per_trial_loop(algebra, trials, rng):
     """The trial-by-trial route through the public GNS functions.
 

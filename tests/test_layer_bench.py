@@ -18,7 +18,13 @@ from contextqm.contexts import (
     interpolated_generator,
 )
 from contextqm.ensembles import QuantumState, ensemble_average
-from contextqm.gns import StateFunctional, build_gns, pure_state_trials, vacuum_expectation
+from contextqm.gns import (
+    StateFunctional,
+    build_gns,
+    pure_state_trials,
+    vacuum_expectation,
+    verify_gns,
+)
 from contextqm.measurement import Instrument, ks_noncontextual_search, measure, peres33_rays
 from contextqm.oscillator import (
     TimeGrid,
@@ -27,8 +33,9 @@ from contextqm.oscillator import (
     wick_green,
 )
 from contextqm.reports import build_envelope, render_json
-from contextqm.states import ElementaryState
+from contextqm.states import ElementaryState, count_draws
 from conftest import random_element, random_hermitian, random_unit_vector
+from test_gns import _per_sample_verify
 
 
 def _sweep(seed=7, n=6):
@@ -110,6 +117,30 @@ def test_pure_state_trials_batch(benchmark):
     )
     assert rank_ok is True
     assert expectation <= 1e-10 and compression <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_verify_gns_on_tracial_space(benchmark, n):
+    # gns-check's tracial summary: 20 samples, one stacked batch
+    space = build_gns(StateFunctional.tracial(AlgebraDescriptor(n)))
+
+    def fresh():
+        return (space, 20, np.random.default_rng(7)), {}
+
+    report = benchmark.pedantic(verify_gns, setup=fresh, rounds=50)
+    assert report == _per_sample_verify(space, 20, np.random.default_rng(7))
+
+
+def test_count_draws_100k_samples(benchmark):
+    # spin-demo's draw at one angle
+    probs = np.array([np.cos(np.pi / 12) ** 2, np.sin(np.pi / 12) ** 2])
+
+    def fresh():
+        return (probs, np.random.default_rng(7), 100_000), {}
+
+    counts = benchmark.pedantic(count_draws, setup=fresh, rounds=50)
+    oracle = np.random.default_rng(7).choice(2, size=100_000, p=probs)
+    assert counts.tolist() == np.bincount(oracle, minlength=2).tolist()
 
 
 @pytest.mark.parametrize("n", [3, 6])

@@ -17,6 +17,7 @@ from contextqm.contexts import (
     context_from_observable,
 )
 from contextqm.measurement import (
+    SAME_RAY_TOL,
     Instrument,
     ks_noncontextual_search,
     load_ray_csv,
@@ -480,6 +481,40 @@ class TestRayCatalogue:
         rays = load_ray_csv(good)
         assert rays.shape == (2, 3)
         assert np.allclose(np.linalg.norm(rays, axis=1), 1.0)
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("1,0,0\n1,0,0\n0,1,0\n0,0,1\n", (1, 2)),
+            ("# antiparallel\n0,1,0\n1,0,0\n\n0,0,1\n-2,0,0\n", (3, 6)),
+            ("1,1,0\n1,-1,0\n0,0,1\n1,1.00000001,0\n", (1, 4)),
+        ],
+        ids=["parallel", "antiparallel", "within-tolerance"],
+    )
+    def test_load_ray_csv_rejects_a_repeated_ray(self, tmp_path, text, lines):
+        bad = tmp_path / "repeat.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"lines {lines[0]} and {lines[1]}: the same ray"):
+            load_ray_csv(bad)
+
+    def test_repeated_ray_is_a_ks_search_usage_error(self, tmp_path):
+        from click.testing import CliRunner
+
+        from contextqm.cli import main
+
+        bad = tmp_path / "repeat.csv"
+        bad.write_text("1,0,0\n1,0,0\n0,1,0\n0,0,1\n")
+        result = CliRunner().invoke(main, ["ks-search", "--ray-file", str(bad)])
+        assert result.exit_code == 2
+        assert "lines 1 and 2" in result.stderr and result.stdout == ""
+
+    def test_bundled_rays_are_distinct_well_within_the_tolerance(self, tmp_path):
+        rays = peres33_rays()
+        overlaps = np.abs(rays @ rays.T) - np.eye(len(rays))
+        assert overlaps.max() < 0.99 < 1.0 - SAME_RAY_TOL
+        copy = tmp_path / "peres33.csv"
+        copy.write_text("\n".join(",".join(repr(x) for x in ray) for ray in rays.tolist()))
+        assert load_ray_csv(copy).shape == rays.shape
 
     def test_empty_csv_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

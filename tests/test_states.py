@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement
 from contextqm.contexts import (
@@ -12,10 +15,12 @@ from contextqm.states import (
     check_character_properties,
     construct_stable_on,
     construct_state,
+    count_draws,
+    draw_indices,
     evaluate,
     is_stable,
 )
-from conftest import random_hermitian, random_unit_vector
+from conftest import ChoiceSpy, random_hermitian, random_unit_vector
 
 
 @pytest.fixture
@@ -291,3 +296,112 @@ class TestCharacterProperties:
             phi = construct_state({ctx.id: k}, registry)
             values.add(evaluate(phi, ctx, obs))
         assert values == {10.0, 20.0, 30.0}
+
+
+# weights with zero-probability outcomes and single outcomes among them
+_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=7
+).filter(lambda w: sum(w) > 0)
+
+
+class TestBornDraws:
+    """``draw_indices`` and ``count_draws`` against ``Generator.choice``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        weights=_weights,
+        seed=st.integers(0, 2**32 - 1),
+        size=st.one_of(
+            st.none(),
+            st.integers(0, 3000),
+            st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        ),
+    )
+    def test_indices_and_counts_equal_choice(self, weights, seed, size):
+        probs = np.array(weights) / sum(weights)
+        oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = oracle.choice(len(probs), size, p=probs)
+        drawn = draw_indices(probs, rng, size)
+        if size is None:
+            assert type(drawn) is type(expected) and drawn == expected
+        else:
+            assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+            assert np.array_equal(drawn, expected)
+        assert rng.random() == oracle.random()
+        if isinstance(size, int):
+            oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = np.bincount(oracle.choice(len(probs), size, p=probs), minlength=len(probs))
+            counts = count_draws(probs, rng, size)
+            assert counts.tolist() == expected.tolist()
+            assert rng.random() == oracle.random()
+
+    @settings(max_examples=200, deadline=None)
+    @example(p=[0.5, np.nan], seed=0)  # each check choice makes, in its order
+    @example(p=[np.inf, -np.inf], seed=0)
+    @example(p=[1.5, -0.5], seed=0)
+    @example(p=[0.5, 0.6], seed=0)
+    @example(p=[0.0], seed=0)
+    @given(
+        p=st.lists(
+            st.one_of(st.floats(width=64), st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0])),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bad_weights_raise_as_choice_does(self, p, seed):
+        oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = oracle.choice(len(p), 5, p=p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ours:
+                draw_indices(np.array(p), rng, 5)
+            assert str(exc).startswith(str(ours.value))
+            with pytest.raises(ValueError, match=str(ours.value)):
+                count_draws(np.array(p), rng, 5)
+        else:
+            assert np.array_equal(draw_indices(np.array(p), rng, 5), expected)
+        assert rng.random() == oracle.random()
+
+    def test_a_uniform_on_a_cdf_value_draws_the_next_index(self):
+        class Uniforms:  # a generator whose uniforms are given
+            def __init__(self, values):
+                self.values = np.array(values)
+
+            def random(self, size):
+                out, self.values = self.values[:size], self.values[size:]
+                return out
+
+        probs = np.array([0.25, 0.25, 0.5])  # cdf 0.25, 0.5, 1.0
+        uniforms = [0.0, 0.25, 0.5, 0.2, 0.75]
+        assert draw_indices(probs, Uniforms(uniforms), 5).tolist() == [0, 1, 2, 0, 2]
+        assert count_draws(probs, Uniforms(uniforms), 5).tolist() == [2, 1, 2]
+
+    def test_count_draws_memory_is_flat(self):
+        probs = np.array([0.25, 0.75])
+
+        def peak(size):
+            tracemalloc.start()
+            try:
+                count_draws(probs, np.random.default_rng(0), size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # first-call allocations are not the draws'
+        small, large = peak(200_000), peak(2_000_000)
+        # the index array of rng.choice would add about 17 bytes per sample
+        assert large <= small + 64 * 1024
+
+    def test_ensure_layer_draws_without_choice(self, shared_setup):
+        _, ctx1, _, _ = shared_setup
+        vector = np.array([0.6, 0.0, 0.8j])
+        for seed in range(20):
+            spy, oracle = ChoiceSpy(np.random.default_rng(seed)), np.random.default_rng(seed)
+            layer = ElementaryState(rng=spy, attached_vector=vector).ensure_layer(ctx1)
+            weights = np.abs(ctx1.basis.conj().T @ vector) ** 2
+            admissible = np.flatnonzero(weights > 0)
+            probs = weights[admissible] / weights[admissible].sum()
+            assert layer.index == admissible[oracle.choice(2, p=probs)]
+            assert spy.choices == 0
+            assert spy.random() == oracle.random()
