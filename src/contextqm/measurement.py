@@ -10,7 +10,9 @@ The module also hosts the spin-1 squared-projection observables and an
 exhaustive search for noncontextual {0,1} assignments on ray sets, which
 certifies that no context-independent valuation exists for the bundled
 33-ray set while the contextual state model happily reproduces the
-quantum statistics on the same observables.
+quantum statistics on the same observables.  The search backtracks on an
+explicit stack of decisions, so any number of rays fits, and its node
+count is the number of values tried.
 """
 
 from __future__ import annotations
@@ -242,12 +244,10 @@ class KsSearchResult:
     """Outcome of the exhaustive {0,1}-assignment search.
 
     ``assignment`` maps ray index to the value of the squared projection
-    along that ray; ``None`` together with ``exhausted=True`` is the
-    proof-of-exhaustion marker.
+    along that ray; ``None`` is the proof-of-exhaustion marker.
     """
 
     assignment: dict | None
-    exhausted: bool
     nodes: int
     ray_count: int
     triad_count: int
@@ -256,6 +256,10 @@ class KsSearchResult:
     @property
     def satisfiable(self) -> bool:
         return self.assignment is not None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.assignment is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,15 +276,10 @@ class KsSearchResult:
 
 
 def _orthogonal_structure(rays: np.ndarray):
-    m = len(rays)
+    """Orthogonal pairs (i < j, row-major), triads (i < j < k) and partners."""
     dots = np.abs(rays @ rays.T)
-    pairs = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if dots[i, j] <= ORTHOGONALITY_TOL
-    ]
-    orth = {i: set() for i in range(m)}
+    pairs = [tuple(p) for p in np.argwhere(np.triu(dots <= ORTHOGONALITY_TOL, 1)).tolist()]
+    orth = {i: set() for i in range(len(rays))}
     for i, j in pairs:
         orth[i].add(j)
         orth[j].add(i)
@@ -303,15 +302,18 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
     its spectrum — this pair constraint is implied physics and is applied
     by default so partial triads bind too.
 
-    Plain depth-first backtracking with unit propagation; ``nodes``
-    counts decision points.  Exhaustion without a model certifies that no
+    Depth-first backtracking with unit propagation, run on an explicit
+    stack of decisions, so the ray count sets no depth limit.  Each
+    decision gives the lowest unassigned ray 0, then 1; ``nodes`` counts
+    the values tried.  Exhaustion without a model certifies that no
     assignment exists.
     """
     rays = np.asarray(rays, dtype=float)
     if rays.ndim != 2 or rays.shape[1] != 3 or len(rays) == 0:
         raise ValueError("rays must be a nonempty list of 3-vectors")
-    norms = np.linalg.norm(rays, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
+    if not np.isfinite(rays).all():
+        raise ValueError("rays must be finite")
+    if not np.abs(np.linalg.norm(rays, axis=1) - 1.0).max() <= 1e-9:
         raise ValueError("rays must be normalized")
 
     pairs, triads, orth = _orthogonal_structure(rays)
@@ -322,74 +324,57 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
     values = [None] * m
     pair_partners = orth if pair_rule else {i: set() for i in range(m)}
     triads_of = {i: [] for i in range(m)}
-    for t, triad in enumerate(triads):
+    for triad in triads:
         for i in triad:
-            triads_of[i].append(t)
+            triads_of[i].append(triad)
 
-    nodes = 0
-
-    def consistent(i) -> bool:
-        """Local constraint check after ray i got a value."""
-        if values[i] == 0:
-            for j in pair_partners[i]:
-                if values[j] == 0:
-                    return False
-        for t in triads_of[i]:
-            assigned = [values[k] for k in triads[t] if values[k] is not None]
-            zeros = assigned.count(0)
-            if zeros > 1:
-                return False
-            if len(assigned) == 3 and zeros != 1:
-                return False
-        return True
-
-    def propagate(i, trail) -> bool:
-        """Force values implied by ray i's assignment; record them on trail."""
-        queue = [i]
-        while queue:
-            current = queue.pop()
-            if values[current] == 0 and pair_partners[current]:
+    def settle(trail) -> bool:
+        """Apply both rules to each ray on the trail, appending the rays
+        they force to it; False on a conflict."""
+        for current in trail:  # the trail grows while it is read
+            if values[current] == 0:
                 for j in pair_partners[current]:
+                    if values[j] == 0:
+                        return False
                     if values[j] is None:
                         values[j] = 1
                         trail.append(j)
-                        if not consistent(j):
-                            return False
-                        queue.append(j)
-            for t in triads_of[current]:
-                triad = triads[t]
-                assigned = [k for k in triad if values[k] is not None]
-                if len(assigned) == 2:
+            for triad in triads_of[current]:
+                assigned = [values[k] for k in triad if values[k] is not None]
+                zeros = assigned.count(0)
+                if zeros > 1 or (len(assigned) == 3 and zeros == 0):
+                    return False
+                if len(assigned) == 2:  # the free ray takes the one 0 unless another holds it
                     (free,) = (k for k in triad if values[k] is None)
-                    zeros = sum(1 for k in assigned if values[k] == 0)
-                    forced = 1 if zeros == 1 else 0
-                    values[free] = forced
+                    values[free] = 1 if zeros else 0
                     trail.append(free)
-                    if not consistent(free):
-                        return False
-                    queue.append(free)
         return True
 
-    def search() -> bool:
-        nonlocal nodes
-        try:
-            pivot = values.index(None)
-        except ValueError:
-            return True
-        for candidate in (0, 1):
-            nodes += 1
-            trail = [pivot]
-            values[pivot] = candidate
-            if consistent(pivot) and propagate(pivot, trail) and search():
-                return True
+    nodes = 0
+    decisions = []  # (pivot, value, trail), the deepest last
+    pivot, value = 0, 0
+    while True:
+        nodes += 1
+        values[pivot] = value
+        trail = [pivot]
+        decisions.append((pivot, value, trail))
+        if settle(trail):
+            if None not in values:
+                break
+            pivot, value = values.index(None), 0
+            continue
+        while decisions:  # undo up to the deepest decision that can still try 1
+            pivot, value, trail = decisions.pop()
             for k in trail:
                 values[k] = None
-        return False
+            if value == 0:
+                break
+        if value == 1:  # both values failed at every level: exhausted
+            break
+        value = 1
 
-    found = search()
     return KsSearchResult(
-        assignment={i: int(values[i]) for i in range(m)} if found else None,
-        exhausted=not found,
+        assignment={i: int(values[i]) for i in range(m)} if decisions else None,
         nodes=nodes,
         ray_count=m,
         triad_count=len(triads),

@@ -160,11 +160,27 @@ class TestKsSearch:
         assert "Traceback" not in result.output
 
     def test_csv_format_summary_line(self, runner):
-        result = runner.invoke(main, ["ks-search", "--format", "csv"])
-        assert result.exit_code == 0
-        lines = [l for l in result.stdout.splitlines() if not l.startswith("#")]
-        assert lines[0] == "status,nodes,ray_count,triad_count,pair_count"
-        assert lines[1] == "UNSAT,28,33,16,72"
+        goldens = [("--pair-rule", "UNSAT,28,33,16,72"), ("--no-pair-rule", "SAT,23,33,16,72")]
+        for rule, summary in goldens:
+            result = runner.invoke(main, ["ks-search", rule, "--format", "csv"])
+            assert result.exit_code == 0
+            lines = [l for l in result.stdout.splitlines() if not l.startswith("#")]
+            assert lines[0] == "status,nodes,ray_count,triad_count,pair_count"
+            assert lines[1] == summary
+
+    def test_thousands_of_rays_are_searched_without_a_depth_limit(self, runner, tmp_path):
+        rng = np.random.default_rng(1100)
+        frames = [np.linalg.qr(rng.normal(size=(3, 3)))[0].T for _ in range(1100)]
+        rays = tmp_path / "triads.csv"
+        rows = [",".join(repr(x) for x in ray) for frame in frames for ray in frame.tolist()]
+        rays.write_text("\n".join(rows) + "\n")
+        result = runner.invoke(main, ["ks-search", "--ray-file", str(rays)])
+        assert "Traceback" not in result.output
+        results = _report(result)["results"]
+        assert results["satisfiable"] is True
+        assert (results["ray_count"], results["triad_count"]) == (3300, 1100)
+        values = [results["assignment"][str(i)] for i in range(3300)]
+        assert all(values[3 * t : 3 * t + 3].count(0) == 1 for t in range(1100))
 
 
 class TestGreen:

@@ -203,6 +203,13 @@ def test_ks_search_on_the_bundled_rays(benchmark):
     assert result.nodes == 28
 
 
+def test_ks_search_without_the_pair_rule(benchmark):
+    rays = peres33_rays()
+    result = benchmark(ks_noncontextual_search, rays, pair_rule=False)
+    assert result.satisfiable and not result.exhausted
+    assert result.nodes == 23
+
+
 def test_render_json_of_a_report(benchmark):
     rng = np.random.default_rng(7)
     rows = [

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contextqm.algebra import (
     AlgebraDescriptor,
@@ -17,8 +17,11 @@ from contextqm.contexts import (
     context_from_observable,
 )
 from contextqm.measurement import (
+    ORTHOGONALITY_TOL,
     SAME_RAY_TOL,
     Instrument,
+    KsSearchResult,
+    _orthogonal_structure,
     ks_noncontextual_search,
     load_ray_csv,
     measure,
@@ -442,6 +445,206 @@ class TestKsSearch:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             ks_noncontextual_search(np.eye(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ray_rejected(self, bad):
+        rays = np.vstack([np.eye(3), [[bad, 0.0, 0.0]]])
+        with pytest.raises(ValueError, match="finite"):
+            ks_noncontextual_search(rays)
+
+
+def _nested_loop_structure(rays: np.ndarray):
+    """Reference for ``_orthogonal_structure``: pairs from a nested loop."""
+    m = len(rays)
+    dots = np.abs(rays @ rays.T)
+    pairs = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if dots[i, j] <= ORTHOGONALITY_TOL
+    ]
+    orth = {i: set() for i in range(m)}
+    for i, j in pairs:
+        orth[i].add(j)
+        orth[j].add(i)
+    triads = [
+        (i, j, k)
+        for i, j in pairs
+        for k in orth[i] & orth[j]
+        if k > j
+    ]
+    return pairs, triads, orth
+
+
+def _recursive_search(rays, pair_rule: bool = True) -> KsSearchResult:
+    """Reference search: recursive backtracking over three closures.
+
+    Kept unchanged as the oracle for ``ks_noncontextual_search`` except
+    that it calls ``_nested_loop_structure`` and leaves ``exhausted`` to
+    the result's property.
+    """
+    rays = np.asarray(rays, dtype=float)
+    if rays.ndim != 2 or rays.shape[1] != 3 or len(rays) == 0:
+        raise ValueError("rays must be a nonempty list of 3-vectors")
+    norms = np.linalg.norm(rays, axis=1)
+    if np.abs(norms - 1.0).max() > 1e-9:
+        raise ValueError("rays must be normalized")
+
+    pairs, triads, orth = _nested_loop_structure(rays)
+    if not triads:
+        raise ValueError("ray set contains no complete orthogonal triad")
+
+    m = len(rays)
+    values = [None] * m
+    pair_partners = orth if pair_rule else {i: set() for i in range(m)}
+    triads_of = {i: [] for i in range(m)}
+    for t, triad in enumerate(triads):
+        for i in triad:
+            triads_of[i].append(t)
+
+    nodes = 0
+
+    def consistent(i) -> bool:
+        """Local constraint check after ray i got a value."""
+        if values[i] == 0:
+            for j in pair_partners[i]:
+                if values[j] == 0:
+                    return False
+        for t in triads_of[i]:
+            assigned = [values[k] for k in triads[t] if values[k] is not None]
+            zeros = assigned.count(0)
+            if zeros > 1:
+                return False
+            if len(assigned) == 3 and zeros != 1:
+                return False
+        return True
+
+    def propagate(i, trail) -> bool:
+        """Force values implied by ray i's assignment; record them on trail."""
+        queue = [i]
+        while queue:
+            current = queue.pop()
+            if values[current] == 0 and pair_partners[current]:
+                for j in pair_partners[current]:
+                    if values[j] is None:
+                        values[j] = 1
+                        trail.append(j)
+                        if not consistent(j):
+                            return False
+                        queue.append(j)
+            for t in triads_of[current]:
+                triad = triads[t]
+                assigned = [k for k in triad if values[k] is not None]
+                if len(assigned) == 2:
+                    (free,) = (k for k in triad if values[k] is None)
+                    zeros = sum(1 for k in assigned if values[k] == 0)
+                    forced = 1 if zeros == 1 else 0
+                    values[free] = forced
+                    trail.append(free)
+                    if not consistent(free):
+                        return False
+                    queue.append(free)
+        return True
+
+    def search() -> bool:
+        nonlocal nodes
+        try:
+            pivot = values.index(None)
+        except ValueError:
+            return True
+        for candidate in (0, 1):
+            nodes += 1
+            trail = [pivot]
+            values[pivot] = candidate
+            if consistent(pivot) and propagate(pivot, trail) and search():
+                return True
+            for k in trail:
+                values[k] = None
+        return False
+
+    found = search()
+    return KsSearchResult(
+        assignment={i: int(values[i]) for i in range(m)} if found else None,
+        nodes=nodes,
+        ray_count=m,
+        triad_count=len(triads),
+        pair_count=len(pairs),
+    )
+
+
+def _lexicographically_first_valuation(rays, pair_rule):
+    """The first of all 2^m valuations, ray 0 most significant, that puts
+    one 0 in every triad (and, under the pair rule, no 0 on both rays of
+    an orthogonal pair); None when there is none."""
+    pairs, triads, _ = _nested_loop_structure(rays)
+    m = len(rays)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    valid = np.ones(2**m, dtype=bool)
+    for triad in triads:
+        valid &= bits[:, list(triad)].sum(axis=1) == 2
+    if pair_rule:
+        for i, j in pairs:
+            valid &= (bits[:, i] | bits[:, j]) == 1
+    rows = np.flatnonzero(valid)
+    return {i: int(v) for i, v in enumerate(bits[rows[0]])} if len(rows) else None
+
+
+def _ray_set(subset, extra_seed):
+    """The listed Peres rays in that order, plus one random orthonormal triad
+    when ``extra_seed`` is not None."""
+    rays = peres33_rays()[list(subset)]
+    if extra_seed is not None:
+        frame, _ = np.linalg.qr(np.random.default_rng(extra_seed).normal(size=(3, 3)))
+        rays = np.vstack([rays, frame.T])
+    return rays
+
+
+_extra_triad = st.none() | st.integers(0, 2**32 - 1)
+
+
+class TestKsSearchAgainstReferences:
+    def test_structure_matches_the_nested_loop(self):
+        rays = _ray_set(range(33), 5)
+        assert _orthogonal_structure(rays) == _nested_loop_structure(rays)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        order=st.permutations(range(33)),
+        size=st.integers(3, 33),
+        extra_seed=_extra_triad,
+        pair_rule=st.booleans(),
+    )
+    @example(order=list(range(33)), size=33, extra_seed=None, pair_rule=True)
+    @example(order=list(range(32, -1, -1)), size=33, extra_seed=7, pair_rule=True)
+    @example(order=list(range(33)), size=33, extra_seed=None, pair_rule=False)
+    def test_matches_the_recursive_search(self, order, size, extra_seed, pair_rule):
+        rays = _ray_set(order[:size], extra_seed)
+        try:
+            expected = _recursive_search(rays, pair_rule).to_json_dict()
+        except ValueError:
+            with pytest.raises(ValueError):
+                ks_noncontextual_search(rays, pair_rule)
+            return
+        assert ks_noncontextual_search(rays, pair_rule).to_json_dict() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.permutations(range(33)),
+        size=st.integers(3, 14),
+        extra_seed=_extra_triad,
+        pair_rule=st.booleans(),
+    )
+    def test_finds_the_lexicographically_first_valuation(self, order, size, extra_seed, pair_rule):
+        # No Kochen-Specker set in three dimensions has fewer than 22 rays,
+        # so sets this small always have a valuation; UNSAT is covered by
+        # the comparison with the recursive search.
+        rays = _ray_set(order[: size if extra_seed is None else size - 3], extra_seed)
+        if not _nested_loop_structure(rays)[1]:
+            with pytest.raises(ValueError):
+                ks_noncontextual_search(rays, pair_rule)
+            return
+        result = ks_noncontextual_search(rays, pair_rule)
+        assert result.assignment == _lexicographically_first_valuation(rays, pair_rule)
 
 
 class TestRayCatalogue:
