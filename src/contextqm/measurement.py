@@ -47,6 +47,7 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-9
 SAME_RAY_TOL = 1e-9  # rays with |<u, v>| >= 1 - SAME_RAY_TOL are one ray
+GRAM_BLOCK = 256  # Gram rows formed per block in _gram_pairs, so memory grows as m, not m^2
 
 # sha256 of the bundled 33-ray coordinate file; refuse to run on a
 # corrupted or edited copy
@@ -275,10 +276,27 @@ class KsSearchResult:
         }
 
 
+def _gram_pairs(rays: np.ndarray, keep) -> np.ndarray:
+    """Index pairs (i, j), i < j, in row-major order, whose overlap
+    |<r_i, r_j>| passes ``keep``, as an array of shape (count, 2).
+
+    The Gram matrix is formed ``GRAM_BLOCK`` rows at a time and never whole.
+    """
+    found = []
+    for start in range(0, len(rays), GRAM_BLOCK):
+        overlap = rays[start : start + GRAM_BLOCK] @ rays.T
+        np.abs(overlap, out=overlap)
+        hits = np.argwhere(np.triu(keep(overlap), start + 1))  # global column > global row
+        del overlap  # freed before the next block is formed
+        hits[:, 0] += start
+        found.append(hits)
+    return np.concatenate(found)
+
+
 def _orthogonal_structure(rays: np.ndarray):
     """Orthogonal pairs (i < j, row-major), triads (i < j < k) and partners."""
-    dots = np.abs(rays @ rays.T)
-    pairs = [tuple(p) for p in np.argwhere(np.triu(dots <= ORTHOGONALITY_TOL, 1)).tolist()]
+    orthogonal = _gram_pairs(rays, lambda overlap: overlap <= ORTHOGONALITY_TOL)
+    pairs = [tuple(p) for p in orthogonal.tolist()]
     orth = {i: set() for i in range(len(rays))}
     for i, j in pairs:
         orth[i].add(j)
@@ -401,7 +419,7 @@ def load_ray_csv(path) -> np.ndarray:
     if norms.min() < 1e-12:
         raise ValueError("ray file contains a zero vector")
     rays = rays / norms[:, None]
-    same = np.argwhere(np.triu(np.abs(rays @ rays.T) >= 1.0 - SAME_RAY_TOL, 1))
+    same = _gram_pairs(rays, lambda overlap: overlap >= 1.0 - SAME_RAY_TOL)
     if len(same):
         first, second = (lines[k] for k in same[0])
         raise ValueError(f"ray file {path}, lines {first} and {second}: the same ray twice")

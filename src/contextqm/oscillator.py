@@ -7,6 +7,10 @@ kernel — and the library trusts the closed form only because the routes
 agree.  On top sit the damped-projector limits, the Gaussian generating
 functional of a classical source, and its finite-difference functional
 derivatives.
+
+``propagator_quadrature``, the energy-integral route kept for validation,
+is the package's only user of scipy: it imports ``scipy.integrate`` on its
+first call, so importing this module (or the CLI) does not load scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import AlgebraElement
 from .gns import StateFunctional
@@ -209,7 +212,11 @@ def propagator_quadrature(
     at E = omega is resolved by splitting the axis and hinting the peak.
     Returns the regulated kernel, which tends to i/(2 omega) *
     exp(-i omega |t|) as the regulator vanishes.
+
+    Imports ``scipy.integrate`` on the first call; no other route needs it.
     """
+    from scipy import integrate
+
     _check_omega(omega)
     t = abs(t1 - t2)
     delta = 1e-2 * omega

@@ -2,6 +2,10 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,3 +453,35 @@ class TestCsvMatchesJson:
         else:
             expected = [[_json_field(c, results, parameters) for c in header]]
         assert cells == [[_csv_cell(value) for value in row] for row in expected]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(*args):
+    """A fresh interpreter with ``src`` on PYTHONPATH, as a user would start it."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+
+
+class TestAsAProcess:
+    def test_no_import_of_the_package_or_the_cli_loads_scipy(self):
+        code = (
+            "import sys\n"
+            "import contextqm, contextqm.cli, contextqm.oscillator, contextqm.gns, contextqm.ensembles\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        child = _run_python("-c", code)
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stdout.decode().strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["ks-search", "--seed", "0"], ["green", "--n", "4", "--seed", "0"]],
+        ids=["ks-search", "green"],
+    )
+    def test_console_entry_prints_what_the_in_process_command_prints(self, args):
+        child = _run_python("-m", "contextqm.cli", *args)
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stdout == CliRunner().invoke(main, args).stdout_bytes

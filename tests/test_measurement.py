@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,11 +18,14 @@ from contextqm.contexts import (
     context_from_family,
     context_from_observable,
 )
+from contextqm import measurement
 from contextqm.measurement import (
+    GRAM_BLOCK,
     ORTHOGONALITY_TOL,
     SAME_RAY_TOL,
     Instrument,
     KsSearchResult,
+    _gram_pairs,
     _orthogonal_structure,
     ks_noncontextual_search,
     load_ray_csv,
@@ -724,3 +729,78 @@ class TestRayCatalogue:
         empty.write_text("# nothing here\n")
         with pytest.raises(ValueError):
             load_ray_csv(empty)
+
+
+def _orthogonal(overlap):
+    return overlap <= ORTHOGONALITY_TOL
+
+
+def _same(overlap):
+    return overlap >= 1.0 - SAME_RAY_TOL
+
+
+def _dense_pairs(rays, keep):
+    """Reference for ``_gram_pairs``: one argwhere over the whole m x m Gram."""
+    return np.argwhere(np.triu(keep(np.abs(rays @ rays.T)), 1))
+
+
+def _random_triads(count, seed):
+    """``count`` random orthonormal triads, three rays each, as rows."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.linalg.qr(rng.normal(size=(3, 3)))[0].T for _ in range(count)])
+
+
+class TestBlockedGramScan:
+    def test_bundled_rays_are_one_block_and_match_the_dense_scan(self):
+        rays = peres33_rays()
+        assert len(rays) <= GRAM_BLOCK
+        orthogonal = _gram_pairs(rays, _orthogonal)
+        assert np.array_equal(orthogonal, _dense_pairs(rays, _orthogonal))
+        assert len(orthogonal) == 72
+        assert _gram_pairs(rays, _same).shape == (0, 2)
+
+    @pytest.mark.parametrize("triads, seed", [(90, 1), (200, 2), (301, 3)])
+    def test_matches_the_dense_scan_across_blocks(self, triads, seed):
+        rays = _random_triads(triads, seed)
+        rng = np.random.default_rng(seed)
+        # copies, some flipped, so that both predicates find pairs in every block
+        picks = rng.choice(len(rays), size=40, replace=False)
+        rays = np.vstack([rays, rays[picks] * rng.choice([-1.0, 1.0], size=(40, 1))])
+        assert len(rays) % GRAM_BLOCK
+        for keep in (_orthogonal, _same):
+            blocked = _gram_pairs(rays, keep)
+            assert np.array_equal(blocked, _dense_pairs(rays, keep))
+        assert len(_gram_pairs(rays, _same)) >= 40
+
+    @pytest.mark.parametrize("block", [1, 5, 32, 34])
+    def test_any_block_size_gives_the_nested_loop_structure(self, monkeypatch, block):
+        monkeypatch.setattr(measurement, "GRAM_BLOCK", block)
+        rays = _ray_set(range(33), 5)
+        assert _orthogonal_structure(rays) == _nested_loop_structure(rays)
+
+    def test_repeated_ray_past_the_first_block_names_the_first_pair(self, tmp_path):
+        rays = _random_triads(200, 4)
+        rays[599] = -2.0 * rays[300]  # row-major first: row 300
+        rays[450] = rays[400]  # found at an earlier column, in a later row
+        unit = rays / np.linalg.norm(rays, axis=1)[:, None]
+        assert _dense_pairs(unit, _same).tolist() == [[300, 599], [400, 450]]
+        bad = tmp_path / "repeat.csv"
+        bad.write_text("# header\n" + "\n".join(",".join(repr(x) for x in ray) for ray in rays.tolist()))
+        with pytest.raises(ValueError, match="lines 302 and 601: the same ray"):
+            load_ray_csv(bad)
+
+    def test_no_m_by_m_array_is_formed(self):
+        rays = _random_triads(1100, 1100)
+        m = len(rays)
+        tracemalloc.start()
+        try:
+            pairs, triads, _ = _orthogonal_structure(rays)
+            _, orthogonal_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert _gram_pairs(rays, _same).shape == (0, 2)
+            _, same_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(pairs), len(triads)) == (3300, 1100)
+        # one m x m boolean mask alone would take m * m bytes
+        assert max(orthogonal_peak, same_peak) < m * m
