@@ -175,18 +175,17 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
 
 
 def _bases_match(b1: np.ndarray, b2: np.ndarray) -> bool:
-    """Equality up to column permutation and per-column phases."""
+    """Equality up to column permutation and per-column phases: each column
+    of ``b2`` overlaps one column of ``b1`` to within MATCH_TOL of 1 and all
+    others to within MATCH_TOL.  For orthonormal bases two columns cannot
+    both overlap one column near 1, so the hits form a permutation."""
     overlap = np.abs(b1.conj().T @ b2)
+    cols = np.arange(overlap.shape[1])
     hits = np.argmax(overlap, axis=0)
-    if len(set(int(h) for h in hits)) != overlap.shape[0]:
+    if not (np.abs(overlap[hits, cols] - 1.0) <= MATCH_TOL).all():
         return False
-    for j, i in enumerate(hits):
-        if abs(overlap[i, j] - 1.0) > MATCH_TOL:
-            return False
-        rest = np.delete(overlap[:, j], i)
-        if rest.size and rest.max() > MATCH_TOL:
-            return False
-    return True
+    overlap[hits, cols] = 0.0
+    return bool(overlap.max(initial=0.0) <= MATCH_TOL)
 
 
 class ContextRegistry:
@@ -212,9 +211,6 @@ class ContextRegistry:
 
     def __len__(self) -> int:
         return len(self._by_id)
-
-    def __iter__(self):
-        return iter(list(self._by_id.values()))
 
     def get(self, context_id: str) -> Context:
         try:
@@ -270,11 +266,8 @@ class ContextRegistry:
 
 
 def context_from_observable(element: AlgebraElement, registry: ContextRegistry) -> Context:
-    """Context generated by a single nondegenerate observable.
-
-    The observable's eigenbasis is the joint eigenbasis; a degenerate
-    spectrum leaves the maximal extension ambiguous and is rejected —
-    callers must supply a completing family instead.
+    """Context generated by a single nondegenerate observable: the context
+    of the one-member family ``(element,)``.
 
     The answer is kept on the element per registry: a registry only appends
     and returns the first match, so a later call would find the same context.
@@ -282,14 +275,7 @@ def context_from_observable(element: AlgebraElement, registry: ContextRegistry) 
     memo = element._context
     if memo is not None and memo[0]() is registry:
         return memo[1]
-    _require_hermitian(element, "context_from_observable")
-    values, vectors = _eigh(element)
-    if any(len(g) > 1 for g in _grouped(values)):
-        raise DegenerateObservableError(
-            "observable has a degenerate spectrum; supply a completing family"
-        )
-    basis = canonical_basis(vectors, [element])
-    ctx = registry.register(basis, element.algebra, members=(element,))
+    ctx = context_from_family((element,), registry)
     element._context = (weakref.ref(registry), ctx)
     return ctx
 
@@ -297,10 +283,13 @@ def context_from_observable(element: AlgebraElement, registry: ContextRegistry) 
 def context_from_family(family, registry: ContextRegistry) -> Context:
     """Context of a commuting family via simultaneous diagonalization.
 
-    The joint eigenbasis is built by recursive refinement: each observable
-    in turn is diagonalized inside the eigenspaces accumulated so far, and
+    The joint eigenbasis is built by recursive refinement: the first member's
+    own (memoized) eigenbasis splits the space, then each later observable is
+    diagonalized inside the eigenspaces accumulated so far, and
     near-degenerate eigenvalue clusters keep their subspace for later
-    members to split.  All joint eigenspaces must end up one-dimensional.
+    members to split.  All joint eigenspaces must end up one-dimensional; a
+    degenerate spectrum leaves the maximal extension ambiguous and is
+    rejected, so callers must supply a completing family instead.
     """
     family = list(family)
     if not family:
@@ -319,27 +308,25 @@ def context_from_family(family, registry: ContextRegistry) -> Context:
                     f"(commutator norm {c:.2e})"
                 )
 
-    n = algebra.dimension
-    subspaces = [np.eye(n, dtype=np.complex128)]
-    for element in family:
+    # _grouped returns runs of consecutive indices: slice views, not fancy-index copies
+    values, vectors = _eigh(family[0])
+    subspaces = [vectors[:, g[0] : g[-1] + 1] for g in _grouped(values)]
+    for element in family[1:]:
         refined = []
         for span in subspaces:
             if span.shape[1] == 1:
                 refined.append(span)
                 continue
             compressed = span.conj().T @ element.matrix @ span
-            compressed = 0.5 * (compressed + compressed.conj().T)
-            values, rotation = np.linalg.eigh(compressed)
-            for group in _grouped(values):
-                refined.append(span @ rotation[:, group])
+            values, rotation = np.linalg.eigh(0.5 * (compressed + compressed.conj().T))
+            refined += [span @ rotation[:, g[0] : g[-1] + 1] for g in _grouped(values)]
         subspaces = refined
 
     if any(span.shape[1] > 1 for span in subspaces):
         raise DegenerateObservableError(
-            "family is jointly degenerate: joint eigenspaces of dimension > 1 remain"
+            "joint eigenspaces of dimension > 1 remain; supply a completing family"
         )
-    vectors = np.hstack(subspaces)
-    basis = canonical_basis(vectors, family)
+    basis = canonical_basis(np.concatenate(subspaces, axis=1), family)
     return registry.register(basis, algebra, members=family)
 
 

@@ -111,7 +111,12 @@ def two_point(t1: float, t2: float, omega: float) -> complex:
     in this module and compared in the test suite.
     """
     _check_omega(omega)
-    return complex(np.exp(-1j * omega * abs(t1 - t2)) / (2.0 * omega))
+    return complex(_kernel(t1 - t2, omega))
+
+
+def _kernel(delta_t, omega: float) -> np.ndarray:
+    """exp(-i omega |t|) / (2 omega), elementwise over the time differences."""
+    return np.exp(-1j * omega * np.abs(delta_t)) / (2.0 * omega)
 
 
 def perfect_matchings(indices) -> list[list[tuple]]:
@@ -155,7 +160,7 @@ def wick_green(times, omega: float) -> complex:
         return 0.0 + 0.0j
     if n == 0:
         return 1.0 + 0.0j
-    kernel = [[two_point(s, t, omega) for t in times] for s in times]
+    kernel = _kernel(np.subtract.outer(times, times), omega).tolist()
     hafnians = {0: 1.0 + 0.0j}
 
     def hafnian(mask: int) -> complex:
@@ -408,11 +413,6 @@ class SourceFunction:
         return cls(grid, values)
 
 
-def _causal_kernel(delta_t: np.ndarray, omega: float) -> np.ndarray:
-    """The time-ordered kernel i exp(-i omega |t|) / (2 omega)."""
-    return 1j * np.exp(-1j * omega * np.abs(delta_t)) / (2.0 * omega)
-
-
 def generating_functional(source: SourceFunction, omega: float) -> complex:
     """Z(j) = exp((i/2) double-integral of j D j), by trapezoid quadrature.
 
@@ -433,7 +433,7 @@ def generating_functional(source: SourceFunction, omega: float) -> complex:
     nodes = grid.nodes()
     weights = grid.trapezoid_weights()
     weighted = weights * source.samples
-    kernel = _causal_kernel(nodes[:, None] - nodes[None, :], omega)
+    kernel = 1j * _kernel(nodes[:, None] - nodes[None, :], omega)
     exponent = 0.5j * (weighted @ kernel @ weighted)
     return complex(np.exp(exponent))
 
@@ -464,7 +464,7 @@ def functional_derivative_green(
     if n == 0:
         return 1.0 + 0.0j
     spikes = grid.nodes()[[grid.node_index(t) for t in times]]
-    sub_kernel = _causal_kernel(spikes[:, None] - spikes[None, :], omega)
+    sub_kernel = 1j * _kernel(spikes[:, None] - spikes[None, :], omega)
     # row c holds the strengths' signs for pattern c: bit m set means -h
     signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
     forms = np.einsum("ci,ij,cj->c", signs, sub_kernel, signs)

@@ -28,23 +28,16 @@ def build_envelope(command: str, seed: int | None, parameters: dict, results) ->
     }
 
 
-def _canonical(value):
-    """Round-trip floats through repr so JSON output is reproducible."""
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        return float(repr(float(value)))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+def _plain(value):
+    """numpy arrays and scalars as Python values; ``json`` writes floats,
+    float subclasses such as ``np.float64`` included, through their repr."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(_canonical(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def _csv_cell(value) -> str:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 
 from contextqm import cli
 from contextqm.cli import main
-from contextqm.reports import _csv_cell
+from contextqm.reports import _csv_cell, render_json
 from conftest import ChoiceSpy
 
 
@@ -40,6 +41,28 @@ def test_strict_json_refuses_non_finite_constants():
     for text in ('{"re": NaN}', '{"re": Infinity}', '{"re": -Infinity}'):
         with pytest.raises(ValueError, match="non-standard"):
             _strict_json(text)
+
+
+def test_render_json_writes_numpy_values_as_their_python_twins():
+    doc = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.1),
+        "i64": np.int64(-3),
+        "flag": np.bool_(True),
+        "row": np.arange(3.0) / 3.0,
+        "grid": np.eye(2, dtype=int),
+    }
+    plain = {
+        "f64": 0.1,
+        "f32": float(np.float32(0.1)),
+        "i64": -3,
+        "flag": True,
+        "row": [0.0, 1.0 / 3.0, 2.0 / 3.0],
+        "grid": [[1, 0], [0, 1]],
+    }
+    assert render_json(doc) == render_json(plain)
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        render_json({"members": {1, 2}})
 
 
 class TestSpinDemo:
@@ -411,6 +434,89 @@ class TestSeedOption:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert result.stdout == ""
+
+
+class TestIntegerRanges:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spin-demo", "-n", "0"],
+            ["spin-demo", "-n", str(cli.MAX_SAMPLES + 1)],
+            ["spin-demo", "--theta", "nan"],
+            ["spin-demo", "--theta", "7"],
+            ["gns-check", "--trials", "-1"],
+        ],
+        ids=["no-samples", "samples-above-cap", "nan-theta", "theta-above-2pi", "negative-trials"],
+    )
+    def test_out_of_range_is_a_usage_error_before_any_work(self, runner, monkeypatch, args):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(cli, "count_draws", no_work)
+        monkeypatch.setattr(cli, "pure_state_trials", no_work)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+
+
+# sha256 of stdout at --seed 0 and --seed 1 for the benchmark's seven CLI
+# invocations and three CSV variants; each exits 0.  A report's bytes are
+# fixed by its command, seed and parameters, so a refactor that moves them
+# fails here, and a change meant to move them retakes the hashes.  They hold
+# for one numpy/BLAS build; another build may move eigensolver roundoff, and
+# then they are retaken from the unchanged parent commit.
+PINNED_REPORTS = {
+    "spin-demo": (
+        "0a4d063428e30560a2c239ff5ccbd9f18ca9233e74884cda20229cedf623c192",
+        "ad11b2c5c3b26afdd13cc788fccdb10ddc09484f2a6121138d79556cdd5fd8e0",
+    ),
+    "ks-search": (
+        "7221ec586d14cf2b9e01c6a1ac7917a48a647df7ec14b5f7e0be555a0154419d",
+        "f52b4991a265a2182f7235cf94ac7476c84040d0c03ac2ac866b568437fcc140",
+    ),
+    "ks-search --no-pair-rule": (
+        "97806690eec9efcdb32f0bc8a9f5f64e124395a9b4a4f17ae32abaf91e1e7554",
+        "bc81f9a50c25534d8512a5b4f3c202c32980d4c0cb6f3a5c624a65fa2d3407d0",
+    ),
+    "green --n 12": (
+        "b9b55b4bda37f8e20cea7433f0dc938760eef4c44c60d742b5d307cb20041ea0",
+        "42bb9fbc539d3cbf5174c17b7556d046032113d26c97522a12f1f7db2c3177ba",
+    ),
+    "green --n 10": (
+        "06670b76cfd84b5605075c4957c60d807ecff364ad85cdb9f63f5fc1d33a42b9",
+        "dac27a25e6c0b79565f0eca79d50d4d635984644d89bc568a0b8ab234119fa45",
+    ),
+    "gns-check": (
+        "eade634d719a8942c77703ed8e250cccb36c06d8dd7c4ae63c2609ca390dbf46",
+        "719eabd8d78869b268c2fffc2d8373cd4291f1f168b873581a80ff0d7fceb66a",
+    ),
+    "gns-check --n 6": (
+        "c2d3f7930237ca87bd0d6eba859a7737403cb2a9524968dc937646d3150f2179",
+        "773e293b04c6abedf2b3f0f8022bc859fb057efaa943b99ef92a299b0b58df50",
+    ),
+    "ks-search --format csv": (
+        "242c782a74869a2364a378f61b303afb3ef0b27d951d4e123181548470e6ab27",
+        "df4906514b4c4ee07eafbcffd577c30808746b94702b564a4d1545ae3da1005f",
+    ),
+    "green --n 6 --format csv": (
+        "fc17213e3ef72da95f99272f41c8d3f2dbe78ea5fc6b71819f8e17b4f96b66db",
+        "ee58a14855ded6af64f3eddedc55a2b942b43eff3569252c572b710b17e9d4da",
+    ),
+    "gns-check --n 4 --format csv": (
+        "d98244dc23406d3320656525bc467b40d4343bb660bb0352bb9ca871ea80fb10",
+        "72ed408ff59d6702b9e0cdc7790e8423eaa0e514386aba05f850ddf285dfeabb",
+    ),
+}
+
+
+@pytest.mark.parametrize("invocation", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(runner, invocation):
+    for seed, expected in enumerate(PINNED_REPORTS[invocation]):
+        result = runner.invoke(main, [*invocation.split(), "--seed", str(seed)])
+        assert result.exit_code == 0, (seed, result.output)
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == expected, seed
 
 
 def _json_field(column, results, parameters):

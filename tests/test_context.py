@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextqm import contexts
-from contextqm.algebra import AlgebraDescriptor, AlgebraElement, commutator, norm
+from contextqm.algebra import AlgebraDescriptor, AlgebraElement, commutator, norm, spectrum
 from contextqm.contexts import (
     FINGERPRINT_TOL,
+    MATCH_TOL,
     Context,
     ContextRegistry,
     DegenerateObservableError,
@@ -135,6 +136,28 @@ class TestContextConstruction:
             eb = AlgebraElement(b, ctx.algebra)
             assert norm(commutator(ea, eb)) <= 1e-9
             assert contains(ctx, ea) and contains(ctx, eb)
+
+
+class TestOneRoute:
+    def test_one_member_family_is_the_observable_context_to_the_bit(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            g = random_hermitian(2 + seed % 5, rng)
+            twin = AlgebraElement(g.matrix.copy(), g.algebra)  # no shared memo
+            family = context_from_family([g], ContextRegistry()).basis
+            single = context_from_observable(twin, ContextRegistry()).basis
+            assert family.tobytes() == single.tobytes(), seed
+
+    def test_a_solved_first_member_is_not_solved_again(self, registry, eigensolves):
+        alg = AlgebraDescriptor(3)
+        a = AlgebraElement.from_diagonal([1.0, 1.0, 2.0], alg)
+        b = AlgebraElement.from_diagonal([5.0, 7.0, 7.0], alg)
+        spectrum(a)
+        assert eigensolves == [(3, 3)]
+        ctx = context_from_family([a, b], registry)
+        # the commutator norm's eigvalsh, then b inside a's 2-dim eigenspace
+        assert eigensolves[1:] == [(3, 3), (2, 2)]
+        assert contains(ctx, a) and contains(ctx, b)
 
 
 class TestContains:
@@ -465,6 +488,44 @@ class TestSortedKeyLookup:
         assert hashlib.sha256(doc).hexdigest() == (
             "b0ea788a309e9af30a4cd5a16e9cf1561c54b104a3152ead5d5c6c45400fc1d5"
         )
+
+
+def _loop_bases_match(b1, b2):
+    """Test oracle: the per-column loop that the closed form replaced."""
+    overlap = np.abs(b1.conj().T @ b2)
+    hits = np.argmax(overlap, axis=0)
+    if len(set(int(h) for h in hits)) != overlap.shape[0]:
+        return False
+    for j, i in enumerate(hits):
+        if abs(overlap[i, j] - 1.0) > MATCH_TOL:
+            return False
+        rest = np.delete(overlap[:, j], i)
+        if rest.size and rest.max() > MATCH_TOL:
+            return False
+    return True
+
+
+class TestBasesMatch:
+    def test_closed_form_equals_the_loop(self):
+        outcomes = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = 1 + seed % 6
+            basis = _random_unitary(n, rng)
+            phases = np.exp(2j * np.pi * rng.uniform(size=n))
+            moved = basis[:, rng.permutation(n)] * phases
+            rotation = _random_rotation(n, rng)
+            noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            candidates = [moved, _random_unitary(n, rng)]
+            for scale in (0.5, 1.0, 2.0):
+                t = scale * MATCH_TOL
+                # a unitary rotation by exp(i t H), and a non-unitary nudge
+                candidates += [rotation(t) @ moved, moved + t * noise / np.abs(noise).max()]
+            for other in candidates:
+                got = _bases_match(basis, other)
+                assert got == _loop_bases_match(basis, other), seed
+                outcomes.append(got)
+        assert True in outcomes and False in outcomes
 
 
 class TestRegistryTolerance:
