@@ -23,8 +23,6 @@ from .algebra import (
     _eigh,
     _grouped,
     _require_hermitian,
-    commutator,
-    norm,
 )
 
 __all__ = [
@@ -37,6 +35,7 @@ __all__ = [
     "context_from_observable",
     "context_from_family",
     "contains",
+    "diagonal_reads",
     "interpolated_generator",
 ]
 
@@ -46,8 +45,6 @@ FINGERPRINT_TOL = 1e-8
 MATCH_TOL = 1000.0 * FINGERPRINT_TOL
 # an observable belongs to a context when it is diagonal in its basis to here
 DIAGONAL_TOL = 1e-9
-# commuting-family admission threshold
-COMMUTE_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 
 _PHASE_TOL = 1e-12
@@ -101,17 +98,8 @@ class Context:
         return AlgebraElement(np.outer(v, v.conj()), self.algebra)
 
     def diagonal_values(self, element: AlgebraElement) -> np.ndarray | None:
-        """The n read-off values <e_k, A e_k> (real parts), or None when the
-        observable is not in the context: an off-diagonal entry of
-        B^dagger A B exceeds DIAGONAL_TOL * max(1, max|A|).
-        """
-        transformed = self.basis.conj().T @ element.matrix @ self.basis
-        diagonal = np.diag(transformed)
-        off = np.abs(transformed - np.diag(diagonal)).max(initial=0.0)
-        scale = max(1.0, float(np.abs(element.matrix).max(initial=0.0)))
-        if not off <= DIAGONAL_TOL * scale:  # a NaN residual is not membership
-            return None
-        return np.real(diagonal)
+        """:func:`diagonal_reads` in this basis: the characters' values, or None."""
+        return diagonal_reads(self.basis, element.matrix)
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,6 +117,26 @@ class Context:
         return f"Context(id={self.id!r}, dim={self.dimension})"
 
 
+def _diagonal(basis: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """The real diagonal of B^dagger A B and its largest off-diagonal modulus."""
+    transformed = basis.conj().T @ matrix @ basis
+    reads = transformed.diagonal().real.copy()
+    transformed.flat[:: len(reads) + 1] = 0.0
+    return reads, np.abs(transformed).max(initial=0.0)
+
+
+def diagonal_reads(basis: np.ndarray, matrix: np.ndarray) -> np.ndarray | None:
+    """What each column of the basis reads on A: the real diagonal of
+    B^dagger A B, or None when A is not diagonal in the basis, that is when
+    an off-diagonal entry exceeds DIAGONAL_TOL * max(1, max|A|).  Context
+    membership and character values are both this one read."""
+    reads, off = _diagonal(basis, matrix)
+    # max|A| is needed only above DIAGONAL_TOL; a NaN residual is not membership
+    if off <= DIAGONAL_TOL or off <= DIAGONAL_TOL * np.abs(matrix).max(initial=0.0):
+        return reads
+    return None
+
+
 def _magnitudes(basis: np.ndarray) -> np.ndarray:
     """The fingerprint: sorted component magnitudes, blind to column order
     and per-column phases."""
@@ -140,38 +148,25 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
 
     Each column is rotated so its first nonvanishing component is real
     positive; columns are then ordered by descending eigenvalue tuple of
-    the generating observables, with lexicographic comparison of the
-    (rounded) components as tie-break.  The map is idempotent bit-for-bit:
-    a canonical basis passes through unchanged.
+    the generating observables, read off the diagonal of B^dagger G B as in
+    :func:`diagonal_reads`, with lexicographic comparison of the (rounded)
+    components as tie-break.  The map is idempotent bit-for-bit: a
+    canonical basis passes through unchanged.
     """
     vecs = np.array(vectors, dtype=np.complex128)
-    n = vecs.shape[1]
-    cols = []
-    for j in range(n):
-        v = vecs[:, j].copy()
-        nz = np.flatnonzero(np.abs(v) > _PHASE_TOL)
-        if nz.size:
-            lead = v[nz[0]]
-            phase = lead / abs(lead)
-            if phase != 1.0:
-                v *= np.conj(phase)
-                v[nz[0]] = abs(v[nz[0]])  # exact real, no residual imaginary dust
-        cols.append(v)
+    big = np.abs(vecs) > _PHASE_TOL
+    lead = big.argmax(axis=0), np.arange(vecs.shape[1])
+    first = np.where(big[lead], vecs[lead], 1.0)
+    # hypot, as the scalar abs: the array np.abs of a complex can differ in the last bit
+    phase = first / np.hypot(first.real, first.imag)
+    turn = phase != 1.0
+    vecs[:, turn] *= np.conj(phase[turn])
+    lead = lead[0][turn], lead[1][turn]
+    vecs[lead] = np.hypot(vecs[lead].real, vecs[lead].imag)  # exact real, no imaginary dust
 
-    def sort_key(j):
-        v = cols[j]
-        eigs = tuple(
-            -round(float(np.real(np.vdot(v, g.matrix @ v))), _KEY_DECIMALS)
-            for g in generators
-        )
-        return (
-            eigs,
-            tuple(np.round(v.real, _KEY_DECIMALS)),
-            tuple(np.round(v.imag, _KEY_DECIMALS)),
-        )
-
-    order = sorted(range(n), key=sort_key)
-    return np.column_stack([cols[j] for j in order])
+    reads = [_diagonal(vecs, g.matrix)[0] for g in generators]
+    keys = np.vstack([-np.reshape(reads, (-1, vecs.shape[1])), vecs.real, vecs.imag])
+    return vecs[:, np.lexsort(np.round(keys, _KEY_DECIMALS)[::-1])]  # last key sorts first
 
 
 def _bases_match(b1: np.ndarray, b2: np.ndarray) -> bool:
@@ -287,9 +282,11 @@ def context_from_family(family, registry: ContextRegistry) -> Context:
     own (memoized) eigenbasis splits the space, then each later observable is
     diagonalized inside the eigenspaces accumulated so far, and
     near-degenerate eigenvalue clusters keep their subspace for later
-    members to split.  All joint eigenspaces must end up one-dimensional; a
-    degenerate spectrum leaves the maximal extension ambiguous and is
-    rejected, so callers must supply a completing family instead.
+    members to split.  A member not diagonal in the joint eigenbasis by
+    :func:`diagonal_reads` raises ``NonCommutingFamilyError``.  All joint
+    eigenspaces must end up one-dimensional; a degenerate spectrum leaves
+    the maximal extension ambiguous and is rejected, so callers must supply
+    a completing family instead.
     """
     family = list(family)
     if not family:
@@ -299,15 +296,6 @@ def context_from_family(family, registry: ContextRegistry) -> Context:
         _require_hermitian(element, "context_from_family")
         if element.algebra != algebra:
             raise ValueError("family members belong to different algebras")
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            c = norm(commutator(family[i], family[j]))
-            if c > COMMUTE_TOL:
-                raise NonCommutingFamilyError(
-                    f"family members {i} and {j} do not commute "
-                    f"(commutator norm {c:.2e})"
-                )
-
     # _grouped returns runs of consecutive indices: slice views, not fancy-index copies
     values, vectors = _eigh(family[0])
     subspaces = [vectors[:, g[0] : g[-1] + 1] for g in _grouped(values)]
@@ -322,11 +310,17 @@ def context_from_family(family, registry: ContextRegistry) -> Context:
             refined += [span @ rotation[:, g[0] : g[-1] + 1] for g in _grouped(values)]
         subspaces = refined
 
+    vectors = np.concatenate(subspaces, axis=1)
+    for i, element in enumerate(family):
+        if diagonal_reads(vectors, element.matrix) is None:
+            raise NonCommutingFamilyError(
+                f"family member {i} is not diagonal in the family's joint eigenbasis"
+            )
     if any(span.shape[1] > 1 for span in subspaces):
         raise DegenerateObservableError(
             "joint eigenspaces of dimension > 1 remain; supply a completing family"
         )
-    basis = canonical_basis(np.concatenate(subspaces, axis=1), family)
+    basis = canonical_basis(vectors, family)
     return registry.register(basis, algebra, members=family)
 
 

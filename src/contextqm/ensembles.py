@@ -262,8 +262,11 @@ def instrument_independence_report(
     points = sorted(spectrum(element))
     probs = [born_distribution(psi, ctx) for ctx in contexts]
 
+    def at_or_below(r, point):  # reads counted at a CDF threshold
+        return (r <= point) | agreeing(r, point)
+
     exact1, exact2 = (
-        [float(p[r <= point + 1e-9].sum()) for point in points]
+        [float(p[at_or_below(r, point)].sum()) for point in points]
         for p, r in zip(probs, reads)
     )
     values1, values2 = (
@@ -274,8 +277,8 @@ def instrument_independence_report(
     max_exact_diff = 0.0
     worst_band_ratio = 0.0
     for i, point in enumerate(points):
-        f1 = float(np.mean(values1 <= point + 1e-9))
-        f2 = float(np.mean(values2 <= point + 1e-9))
+        f1 = float(np.mean(at_or_below(values1, point)))
+        f2 = float(np.mean(at_or_below(values2, point)))
         pooled = (f1 * sample_count + f2 * sample_count) / (2 * sample_count)
         pooled_se = float(
             np.sqrt(max(pooled * (1 - pooled), 0.0) * (2.0 / sample_count))

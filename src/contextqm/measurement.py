@@ -105,7 +105,7 @@ def measure(phi: ElementaryState, inst: Instrument, element: AlgebraElement, rng
     acting = phi.ensure_layer(ctx, rng)
 
     record = phi.stable.get(fingerprint)
-    value = record.value if record is not None else acting.value(element)
+    value = record.value if record is not None else float(reads[acting.index])
 
     vector = phi.attached_vector
     if vector is not None:

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebra import AlgebraElement, element_fingerprint, spectrum
-from .contexts import Context, ContextRegistry, IncompatibleObservableError, contains
+from .contexts import Context, ContextRegistry, IncompatibleObservableError
 
 __all__ = [
     "Character",
@@ -106,6 +106,14 @@ def count_draws(probs, rng, size: int) -> np.ndarray:
     return np.diff([0, *at_or_below, size])
 
 
+def _reads(ctx: Context, element: AlgebraElement) -> np.ndarray:
+    """``ctx.diagonal_values(element)``; a non-member is rejected."""
+    reads = ctx.diagonal_values(element)
+    if reads is None:
+        raise IncompatibleObservableError(f"observable is not contained in context {ctx.id}")
+    return reads
+
+
 def _unit_vector(vector) -> np.ndarray:
     """The vector scaled to unit length; a zero or non-finite one is rejected."""
     vec = np.asarray(vector, dtype=np.complex128)
@@ -129,9 +137,8 @@ class Character:
             )
 
     def value(self, element: AlgebraElement) -> float:
-        """Eigenvalue read-off <e_k, A e_k> at the selected eigenvector."""
-        v = self.context.vector(self.index)
-        return float(np.real(np.vdot(v, element.matrix @ v)))
+        """Entry ``index`` of the context's ``diagonal_values``: an eigenvalue."""
+        return float(_reads(self.context, element)[self.index])
 
 
 @dataclass(frozen=True)
@@ -276,12 +283,7 @@ def evaluate(phi: ElementaryState, ctx: Context, element: AlgebraElement) -> flo
     when the observable does not belong to the context; materializes the
     layer lazily when the context is new.
     """
-    if not contains(ctx, element):
-        raise IncompatibleObservableError(
-            f"observable is not contained in context {ctx.id}"
-        )
-    layer = phi.ensure_layer(ctx)
-    return layer.value(element)
+    return float(_reads(ctx, element)[phi.ensure_layer(ctx).index])
 
 
 def construct_state(
@@ -360,9 +362,9 @@ def is_stable(phi: ElementaryState, element: AlgebraElement) -> bool:
     lazy conditioning.
     """
     values = [
-        layer.value(element)
+        float(reads[layer.index])
         for layer in phi.layers.values()
-        if contains(layer.context, element)
+        if (reads := layer.context.diagonal_values(element)) is not None
     ]
     if len(values) < 2:
         return True

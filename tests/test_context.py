@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from contextqm import contexts
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, commutator, norm, spectrum
 from contextqm.contexts import (
+    DIAGONAL_TOL,
     FINGERPRINT_TOL,
     MATCH_TOL,
     Context,
@@ -25,6 +26,7 @@ from contextqm.contexts import (
     interpolated_generator,
 )
 from contextqm.ensembles import QuantumState, ensemble_average
+from contextqm.measurement import spin1_squared_observables
 from contextqm.states import ElementaryState
 from conftest import random_hermitian, random_unit_vector
 
@@ -155,9 +157,90 @@ class TestOneRoute:
         spectrum(a)
         assert eigensolves == [(3, 3)]
         ctx = context_from_family([a, b], registry)
-        # the commutator norm's eigvalsh, then b inside a's 2-dim eigenspace
-        assert eigensolves[1:] == [(3, 3), (2, 2)]
+        # only b inside a's 2-dim eigenspace
+        assert eigensolves[1:] == [(2, 2)]
         assert contains(ctx, a) and contains(ctx, b)
+
+    def test_a_family_is_admitted_without_a_commutator_eigensolve(self, registry, eigensolves):
+        family = spin1_squared_observables()
+        ctx = context_from_family(family, registry)
+        # the first member's eigh, then the second inside its 2-dim eigenspace
+        assert eigensolves == [(3, 3), (2, 2)]
+        assert all(contains(ctx, member) for member in family)
+
+
+def _unitary(n, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _in_frame(q, matrix, alg):
+    """q @ matrix @ q^dagger, made exactly Hermitian."""
+    rotated = q @ matrix @ q.conj().T
+    return AlgebraElement(0.5 * (rotated + rotated.conj().T), alg)
+
+
+class TestFamilyAdmission:
+    """A family is admitted exactly when each member is in its context."""
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_large_commuting_family_is_admitted(self, registry, scale):
+        # the commutator's roundoff grows with the entries: an absolute
+        # bound on its norm rejected these families
+        rng = np.random.default_rng(3)
+        alg = AlgebraDescriptor(4)
+        q = _unitary(4, rng)
+        family = [
+            _in_frame(q, np.diag(scale * rng.permutation(np.arange(4.0))), alg),
+            _in_frame(q, np.diag(scale * rng.normal(size=4)), alg),
+        ]
+        ctx = context_from_family(family, registry)
+        assert all(contains(ctx, member) for member in family)
+
+    def test_family_whose_context_would_miss_a_member_is_rejected(self, registry):
+        # the commutator norm is 8e-11, yet b is not diagonal in the basis
+        # that a's eigenvalues 0 and 2e-8 split
+        alg = AlgebraDescriptor(3)
+        a = AlgebraElement.from_diagonal([0.0, 2e-8, 1.0], alg)
+        b = AlgebraElement(
+            np.array([[0.0, 0.004, 0.0], [0.004, 0.0, 0.0], [0.0, 0.0, 1.0]]), alg
+        )
+        with pytest.raises(NonCommutingFamilyError):
+            context_from_family([a, b], registry)
+
+    def test_non_commuting_is_reported_before_degeneracy(self, registry):
+        alg = AlgebraDescriptor(3)
+        a = AlgebraElement.from_diagonal([1.0, 1.0, 2.0], alg)
+        b = AlgebraElement(
+            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), alg
+        )
+        with pytest.raises(NonCommutingFamilyError):
+            context_from_family([a, b], registry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        exponent=st.integers(-3, 6),
+    )
+    def test_admission_is_membership_at_every_scale(self, seed, n, exponent):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        alg = AlgebraDescriptor(n)
+        q = _unitary(n, rng)
+        # eigenvalues at least scale / 2 apart: the first member fixes the basis
+        spread = rng.permutation(np.arange(n) + rng.uniform(0, 0.5, n))
+        first = _in_frame(q, np.diag(scale * spread), alg)
+        values = scale * rng.normal(size=n)
+        family = [first, _in_frame(q, np.diag(values), alg)]
+        ctx = context_from_family(family, ContextRegistry())
+        assert all(contains(ctx, member) for member in family)
+
+        i, j = rng.choice(n, size=2, replace=False)
+        leak = np.zeros((n, n))
+        leak[i, j] = leak[j, i] = 4 * DIAGONAL_TOL * max(1.0, np.abs(values).max())
+        with pytest.raises(NonCommutingFamilyError):
+            context_from_family([first, _in_frame(q, np.diag(values) + leak, alg)], ContextRegistry())
 
 
 class TestContains:

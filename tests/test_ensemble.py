@@ -325,6 +325,22 @@ class TestInstrumentIndependence:
         assert report["context_1"] == c1.id
         assert report["context_2"] == c2.id
 
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["double-top", "double-bottom"])
+    def test_thresholds_scale_with_the_spectrum(self, registry, scale, sign):
+        # eigenvalues scale and 2 * scale, one of them double: the reads and
+        # spectrum points of one eigenvalue differ by roundoff that grows
+        # with the scale, which an absolute 1e-9 margin did not cover
+        base, c1, c2 = _x_shared_spin1_contexts(registry)
+        shift = 1.5 * np.eye(3) + sign * (base.matrix - 0.5 * np.eye(3))
+        shared = AlgebraElement(scale * shift, base.algebra)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            psi = QuantumState(random_unit_vector(3, rng), shared.algebra)
+            report = instrument_independence_report(psi, shared, c1, c2, 2000, rng)
+            assert report["max_exact_marginal_diff"] <= 1e-12, seed
+            assert report["ok"], seed
+
     def test_same_context_twice_is_trivially_consistent(self, registry):
         shared, c1, _ = _x_shared_spin1_contexts(registry)
         psi = QuantumState(np.array([0.6, 0.0, 0.8]), shared.algebra)

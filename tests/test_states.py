@@ -10,7 +10,9 @@ from contextqm.contexts import (
     IncompatibleObservableError,
     context_from_observable,
 )
+from contextqm.measurement import Instrument, measure
 from contextqm.states import (
+    Character,
     ElementaryState,
     check_character_properties,
     construct_stable_on,
@@ -80,6 +82,44 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError):
             construct_state({ctx.id: 2}, registry)
+
+
+class TestOneRead:
+    """Values come from the one read that decides membership."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+    def test_every_value_is_the_diagonal_read(self, seed, n):
+        rng = np.random.default_rng(seed)
+        registry = ContextRegistry()
+        ctx = context_from_observable(random_hermitian(n, rng), registry)
+        member = AlgebraElement(
+            (ctx.basis * rng.normal(size=n)) @ ctx.basis.conj().T, ctx.algebra
+        )
+        reads = ctx.diagonal_values(member)
+        phi = ElementaryState(rng=rng, attached_vector=random_unit_vector(n, rng))
+        value = evaluate(phi, ctx, member)
+        index = phi.layers[ctx.id].index
+        assert value == reads[index]
+        assert phi.layers[ctx.id].value(member) == reads[index]
+        fresh = ElementaryState(rng=rng)
+        measured, fresh = measure(fresh, Instrument(ctx), member)
+        assert measured == reads[fresh.layers[ctx.id].index]
+
+    def test_character_rejects_a_non_member(self, registry):
+        alg = AlgebraDescriptor(2)
+        ctx = context_from_observable(AlgebraElement.from_diagonal([1.0, -1.0], alg), registry)
+        sx = AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]), alg)
+        with pytest.raises(IncompatibleObservableError):
+            Character(ctx, 0).value(sx)
+
+    def test_evaluate_of_a_non_member_draws_no_layer(self, registry, rng):
+        alg = AlgebraDescriptor(3)
+        ctx = context_from_observable(AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg), registry)
+        phi = ElementaryState(rng=rng)
+        with pytest.raises(IncompatibleObservableError):
+            evaluate(phi, ctx, random_hermitian(3, rng, alg))
+        assert phi.layers == {}
 
 
 class TestLazyLayers:
