@@ -112,14 +112,15 @@ class AlgebraElement:
     Supports ``+``, ``-``, scalar ``*``, and ``@`` / ``*`` for the
     algebra product.
 
-    Two derived slots start empty and are filled on first use, so they
+    Three derived slots start empty and are filled on first use, so they
     live exactly as long as the element: ``_eigh``, the read-only result
-    of one ``np.linalg.eigh`` of the matrix (see :func:`_eigh`), and
+    of one ``np.linalg.eigh`` of the matrix (see :func:`_eigh`),
     ``_context``, the context this element generated in a registry (see
-    ``contexts.context_from_observable``).
+    ``contexts.context_from_observable``), and ``_fp``, the element's
+    fingerprint string (see :func:`element_fingerprint`).
     """
 
-    __slots__ = ("matrix", "algebra", "_eigh", "_context")
+    __slots__ = ("matrix", "algebra", "_eigh", "_context", "_fp")
 
     def __init__(self, matrix, algebra: AlgebraDescriptor):
         mat = _as_matrix(matrix, algebra.dimension)
@@ -134,6 +135,7 @@ class AlgebraElement:
         self.algebra = algebra
         self._eigh = None
         self._context = None
+        self._fp = None
 
     # -- constructors ------------------------------------------------------
 
@@ -363,8 +365,11 @@ def element_fingerprint(element: AlgebraElement) -> str:
     Entries are rounded to 9 decimal places before hashing so that
     numerically identical observables produced along different code paths
     agree.  The block structure of a non-full algebra is hashed too, so
-    the same matrix in two algebras gets two fingerprints.
+    the same matrix in two algebras gets two fingerprints.  The matrix is
+    read-only, so the string is hashed once per element and then kept.
     """
+    if element._fp is not None:
+        return element._fp
     mat = element.matrix
     rounded = np.round(mat.real, 9) + 1j * np.round(mat.imag, 9)
     rounded += 0.0  # normalize -0.0 to +0.0 so the byte stream is canonical
@@ -376,7 +381,8 @@ def element_fingerprint(element: AlgebraElement) -> str:
         sizes = ",".join(str(size) for size in element.algebra.block_sizes)
         digest.update(f"blocks:{sizes};".encode())
     digest.update(np.ascontiguousarray(rounded).tobytes())
-    return digest.hexdigest()
+    element._fp = digest.hexdigest()
+    return element._fp
 
 
 def element_to_json_dict(element: AlgebraElement) -> dict:

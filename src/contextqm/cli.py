@@ -40,6 +40,9 @@ GREEN_THRESHOLD = 1e-8
 # spin-demo's sample cap: 10**9 draws at the four default angles take about
 # 20 s on a 2-vCPU host, and count_draws keeps memory flat at any count
 MAX_SAMPLES = 10**9
+# gns-check's trial cap: at --n 6, 2*10**4 trials take 1.1-1.4 s on that
+# host, so 3*10**5 take about 20 s; the trials run in chunks, so memory is flat
+MAX_TRIALS = 3 * 10**5
 
 
 def _emit(doc: dict, fmt: str, out: str | None, rows: list[dict]):
@@ -304,7 +307,7 @@ def green(order, omega, times, cutoff, seed, out, fmt):
 
 @main.command("gns-check")
 @click.option("--n", "dimension", type=click.IntRange(2, 6), default=3, show_default=True)
-@click.option("--trials", type=click.IntRange(min=0), default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(0, MAX_TRIALS), default=100, show_default=True)
 @seed_option
 @out_option
 @format_option

@@ -148,10 +148,11 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
 
     Each column is rotated so its first nonvanishing component is real
     positive; columns are then ordered by descending eigenvalue tuple of
-    the generating observables, read off the diagonal of B^dagger G B as in
-    :func:`diagonal_reads`, with lexicographic comparison of the (rounded)
-    components as tie-break.  The map is idempotent bit-for-bit: a
-    canonical basis passes through unchanged.
+    the generating observables, read by :func:`diagonal_reads`, with
+    lexicographic comparison of the (rounded) components as tie-break.  A
+    generator that is not diagonal in the vectors raises ``ValueError``.
+    The map is idempotent bit-for-bit: a canonical basis passes through
+    unchanged.
     """
     vecs = np.array(vectors, dtype=np.complex128)
     big = np.abs(vecs) > _PHASE_TOL
@@ -164,7 +165,10 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
     lead = lead[0][turn], lead[1][turn]
     vecs[lead] = np.hypot(vecs[lead].real, vecs[lead].imag)  # exact real, no imaginary dust
 
-    reads = [_diagonal(vecs, g.matrix)[0] for g in generators]
+    reads = [diagonal_reads(vecs, g.matrix) for g in generators]
+    for i, read in enumerate(reads):
+        if read is None:
+            raise ValueError(f"generator {i} is not diagonal in the given vectors")
     keys = np.vstack([-np.reshape(reads, (-1, vecs.shape[1])), vecs.real, vecs.imag])
     return vecs[:, np.lexsort(np.round(keys, _KEY_DECIMALS)[::-1])]  # last key sorts first
 

@@ -117,8 +117,11 @@ def measure(phi: ElementaryState, inst: Instrument, element: AlgebraElement, rng
         vector = projected / weight
 
     phi.layers = {ctx.id: acting}
+    # the measured observable's record is replaced below; its read was taken above
     kept = {
-        fp: rec for fp, rec in phi.stable.items() if contains(ctx, rec.element)
+        fp: rec
+        for fp, rec in phi.stable.items()
+        if fp == fingerprint or contains(ctx, rec.element)
     }
     kept[fingerprint] = StableRecord(fingerprint, element, value)
     phi.stable = kept

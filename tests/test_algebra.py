@@ -299,6 +299,24 @@ class TestSerialization:
         assert element_fingerprint(hermitian) == "bd5aac5726c23d7a8e7a76341961793cfe0354cc"
         assert element_fingerprint(diagonal) == "7d5f0b86363054131583f01fe53f0acd755b3bef"
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.one_of(
+            st.integers(1, 6).map(lambda n: (n,)),
+            st.lists(st.integers(1, 3), min_size=2, max_size=4).map(tuple),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kept_fingerprint_equals_a_fresh_one(self, blocks, seed):
+        rng = _rng_from_seed(seed)
+        alg = AlgebraDescriptor(sum(blocks), blocks)
+        elements = [random_element(alg.dimension, rng, alg) for _ in range(3)]
+        first = [element_fingerprint(e) for e in elements]
+        for element, kept in zip(elements[::-1], first[::-1]):
+            assert element_fingerprint(element) is kept
+            fresh = AlgebraElement(element.matrix.copy(), alg)
+            assert element_fingerprint(fresh) == kept
+
     def test_json_round_trip_is_exact(self, rng):
         alg = AlgebraDescriptor(5, (3, 2))
         a = random_element(5, rng, alg)

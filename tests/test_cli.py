@@ -445,8 +445,16 @@ class TestIntegerRanges:
             ["spin-demo", "--theta", "nan"],
             ["spin-demo", "--theta", "7"],
             ["gns-check", "--trials", "-1"],
+            ["gns-check", "--trials", str(cli.MAX_TRIALS + 1)],
         ],
-        ids=["no-samples", "samples-above-cap", "nan-theta", "theta-above-2pi", "negative-trials"],
+        ids=[
+            "no-samples",
+            "samples-above-cap",
+            "nan-theta",
+            "theta-above-2pi",
+            "negative-trials",
+            "trials-above-cap",
+        ],
     )
     def test_out_of_range_is_a_usage_error_before_any_work(self, runner, monkeypatch, args):
         def no_work(*args, **kwargs):

@@ -46,7 +46,8 @@ def _pauli():
 
 class TestCanonicalBasis:
     def test_phase_fix_makes_first_component_real_positive(self):
-        vecs = np.array([[1j / np.sqrt(2), 1 / np.sqrt(2)], [0.0, 1.0]]).T
+        # an eigenbasis of diag(2, 1) whose leading entries are complex
+        vecs = np.array([[1j, 0.0], [0.0, (1 + 1j) / np.sqrt(2)]]).T
         alg = AlgebraDescriptor(2)
         gen = AlgebraElement.from_diagonal([2.0, 1.0], alg)
         out = canonical_basis(vecs, [gen])
@@ -55,6 +56,13 @@ class TestCanonicalBasis:
             first = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
             assert abs(first.imag) <= 1e-12
             assert first.real > 0
+
+    def test_generator_not_diagonal_in_the_vectors_is_rejected(self):
+        # B^dagger diag(2, 1) B has an off-diagonal entry of 0.71 here
+        vecs = np.array([[1j / np.sqrt(2), 1 / np.sqrt(2)], [0.0, 1.0]]).T
+        gen = AlgebraElement.from_diagonal([2.0, 1.0], AlgebraDescriptor(2))
+        with pytest.raises(ValueError, match="generator 0 is not diagonal"):
+            canonical_basis(vecs, [gen])
 
     def test_idempotent_to_the_bit(self, rng):
         n = 4

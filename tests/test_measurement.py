@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from contextqm import algebra, contexts
 from contextqm.algebra import (
     AlgebraDescriptor,
     AlgebraElement,
     commutator,
+    element_fingerprint,
     norm,
     spectral_decomposition,
     spectrum,
@@ -243,6 +245,50 @@ class TestSequences:
             records = run_sequence(phi, plan, rng=rng)
             assert records[0].value == records[1].value == records[2].value
         assert solved == []
+
+    def test_criterion_four_plan_hashes_each_element_once(self, shared_setup, monkeypatch):
+        alg, ctx1, ctx2, shared = shared_setup
+        gen1 = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg)
+        inst1, inst1b, inst2 = (
+            Instrument(ctx1, "first"),
+            Instrument(ctx1, "first-twin"),
+            Instrument(ctx2, "second"),
+        )
+        plan = [(inst1, shared), (inst1, shared), (inst2, shared), (inst1b, shared)]
+        plan += [(inst1, gen1), (inst1, shared)] * 2
+        sha1 = algebra.hashlib.sha1
+        hashed = []
+
+        def spy(*args, **kwargs):
+            hashed.append(1)
+            return sha1(*args, **kwargs)
+
+        monkeypatch.setattr(algebra.hashlib, "sha1", spy)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            phi = ElementaryState(rng=rng, attached_vector=random_unit_vector(3, rng))
+            records = run_sequence(phi, plan, rng=rng)
+            assert records[0].value == records[1].value == records[2].value
+        assert len(hashed) == 2  # shared and gen1
+
+    def test_a_repeat_reads_the_observable_once(self, shared_setup, monkeypatch):
+        _, ctx1, _, shared = shared_setup
+        inst = Instrument(ctx1, "first")
+        rng = np.random.default_rng(3)
+        phi = ElementaryState(rng=rng, attached_vector=random_unit_vector(3, rng))
+        first, phi = measure(phi, inst, shared, rng=rng)
+        diagonal = contexts._diagonal
+        reads = []
+
+        def spy(basis, matrix):
+            reads.append(matrix)
+            return diagonal(basis, matrix)
+
+        monkeypatch.setattr(contexts, "_diagonal", spy)
+        second, phi = measure(phi, inst, shared, rng=rng)
+        assert second == first
+        assert len(reads) == 1
+        assert list(phi.stable) == [element_fingerprint(shared)]
 
     def test_alternating_compatible_pairs_repeat_exactly(self, shared_setup):
         alg, ctx1, _, _ = shared_setup
