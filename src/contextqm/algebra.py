@@ -91,11 +91,11 @@ class AlgebraDescriptor:
         return mask
 
 
-def _as_matrix(data, dimension: int | None = None) -> np.ndarray:
+def _as_matrix(data, dimension: int) -> np.ndarray:
     mat = np.array(data, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if dimension is not None and mat.shape[0] != dimension:
+    if mat.shape[0] != dimension:
         raise ValueError(
             f"matrix size {mat.shape[0]} does not match algebra dimension {dimension}"
         )

@@ -98,8 +98,19 @@ class Context:
         return AlgebraElement(np.outer(v, v.conj()), self.algebra)
 
     def diagonal_values(self, element: AlgebraElement) -> np.ndarray | None:
-        """:func:`diagonal_reads` in this basis: the characters' values, or None."""
+        """:func:`diagonal_reads` in this basis: the characters' values, or
+        None.  An element of another algebra raises ``ValueError``."""
+        # identity settles the common case without the slower dataclass comparison
+        if element.algebra is not self.algebra and element.algebra != self.algebra:
+            raise ValueError("element belongs to a different algebra")
         return diagonal_reads(self.basis, element.matrix)
+
+    def reads(self, element: AlgebraElement) -> np.ndarray:
+        """``diagonal_values`` of a member; a non-member raises ``IncompatibleObservableError``."""
+        reads = self.diagonal_values(element)
+        if reads is None:
+            raise IncompatibleObservableError(f"observable is not contained in context {self.id}")
+        return reads
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,7 +161,7 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
     positive; columns are then ordered by descending eigenvalue tuple of
     the generating observables, read by :func:`diagonal_reads`, with
     lexicographic comparison of the (rounded) components as tie-break.  A
-    generator that is not diagonal in the vectors raises ``ValueError``.
+    generator not diagonal in the vectors raises ``NonCommutingFamilyError``.
     The map is idempotent bit-for-bit: a canonical basis passes through
     unchanged.
     """
@@ -168,7 +179,7 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
     reads = [diagonal_reads(vecs, g.matrix) for g in generators]
     for i, read in enumerate(reads):
         if read is None:
-            raise ValueError(f"generator {i} is not diagonal in the given vectors")
+            raise NonCommutingFamilyError(f"generator {i} is not diagonal in the given vectors")
     keys = np.vstack([-np.reshape(reads, (-1, vecs.shape[1])), vecs.real, vecs.imag])
     return vecs[:, np.lexsort(np.round(keys, _KEY_DECIMALS)[::-1])]  # last key sorts first
 
@@ -286,11 +297,12 @@ def context_from_family(family, registry: ContextRegistry) -> Context:
     own (memoized) eigenbasis splits the space, then each later observable is
     diagonalized inside the eigenspaces accumulated so far, and
     near-degenerate eigenvalue clusters keep their subspace for later
-    members to split.  A member not diagonal in the joint eigenbasis by
-    :func:`diagonal_reads` raises ``NonCommutingFamilyError``.  All joint
-    eigenspaces must end up one-dimensional; a degenerate spectrum leaves
-    the maximal extension ambiguous and is rejected, so callers must supply
-    a completing family instead.
+    members to split.  A member not diagonal in the joint eigenbasis fails
+    the sort-key read of :func:`canonical_basis`, which raises
+    ``NonCommutingFamilyError``.  All joint eigenspaces must end up
+    one-dimensional; a degenerate spectrum leaves the maximal extension
+    ambiguous and is rejected, so callers must supply a completing family
+    instead.
     """
     family = list(family)
     if not family:
@@ -314,17 +326,12 @@ def context_from_family(family, registry: ContextRegistry) -> Context:
             refined += [span @ rotation[:, g[0] : g[-1] + 1] for g in _grouped(values)]
         subspaces = refined
 
-    vectors = np.concatenate(subspaces, axis=1)
-    for i, element in enumerate(family):
-        if diagonal_reads(vectors, element.matrix) is None:
-            raise NonCommutingFamilyError(
-                f"family member {i} is not diagonal in the family's joint eigenbasis"
-            )
+    # the sort-key read admits the members, so non-commuting is reported first
+    basis = canonical_basis(np.concatenate(subspaces, axis=1), family)
     if any(span.shape[1] > 1 for span in subspaces):
         raise DegenerateObservableError(
             "joint eigenspaces of dimension > 1 remain; supply a completing family"
         )
-    basis = canonical_basis(vectors, family)
     return registry.register(basis, algebra, members=family)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint, spectrum
-from .contexts import Context, IncompatibleObservableError
+from .contexts import Context
 from .states import ElementaryState, agreeing, draw_indices
 
 __all__ = [
@@ -187,9 +187,7 @@ def ensemble_average(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    reads = ctx.diagonal_values(element)
-    if reads is None:
-        raise IncompatibleObservableError("observable is not contained in the context")
+    reads = ctx.reads(element)
     probs = born_distribution(psi, ctx)
     values = reads[draw_indices(probs / probs.sum(), rng, sample_count)]
 
@@ -255,10 +253,7 @@ def instrument_independence_report(
     4-pooled-standard-error band.
     """
     contexts = (ctx1, ctx2)
-    reads = [ctx.diagonal_values(element) for ctx in contexts]
-    for ctx, ctx_reads in zip(contexts, reads):
-        if ctx_reads is None:
-            raise IncompatibleObservableError(f"observable is not shared by context {ctx.id}")
+    reads = [ctx.reads(element) for ctx in contexts]
     points = sorted(spectrum(element))
     probs = [born_distribution(psi, ctx) for ctx in contexts]
 

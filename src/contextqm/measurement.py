@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint
-from .contexts import Context, IncompatibleObservableError, contains
+from .contexts import Context, contains
 from .reports import parse_float_csv
 from .states import ElementaryState, StableRecord, agreeing
 
@@ -96,11 +96,7 @@ def measure(phi: ElementaryState, inst: Instrument, element: AlgebraElement, rng
     vector has no weight there (possible only for a layer not drawn from it).
     """
     ctx = inst.context
-    reads = ctx.diagonal_values(element)
-    if reads is None:
-        raise IncompatibleObservableError(
-            f"instrument {inst.label or inst.type_id} cannot measure this observable"
-        )
+    reads = ctx.reads(element)
     fingerprint = element_fingerprint(element)
     acting = phi.ensure_layer(ctx, rng)
 
@@ -177,29 +173,29 @@ def transcript_to_json_dict(records) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def pauli_matrices(algebra: AlgebraDescriptor | None = None):
+def pauli_matrices():
     """(sigma_x, sigma_y, sigma_z) on the 2x2 full algebra."""
-    algebra = algebra or AlgebraDescriptor(2)
+    algebra = AlgebraDescriptor(2)
     sx = AlgebraElement([[0, 1], [1, 0]], algebra)
     sy = AlgebraElement([[0, -1j], [1j, 0]], algebra)
     sz = AlgebraElement([[1, 0], [0, -1]], algebra)
     return sx, sy, sz
 
 
-def spin_axis_observable(theta: float, algebra: AlgebraDescriptor | None = None) -> AlgebraElement:
+def spin_axis_observable(theta: float) -> AlgebraElement:
     """Spin component (eigenvalues +1/-1) along the axis at angle theta
     from the x-axis, in the x-z plane.
 
     The +1 eigenvector at theta = 0 is the x-polarized state, so a state
     polarized along x answers +1 with probability cos(theta/2)**2.
     """
-    sx, _, sz = pauli_matrices(algebra)
+    sx, _, sz = pauli_matrices()
     return np.cos(theta) * sx + np.sin(theta) * sz
 
 
-def spin1_matrices(algebra: AlgebraDescriptor | None = None):
+def spin1_matrices():
     """Spin-1 component operators (S_x, S_y, S_z), hbar = 1."""
-    algebra = algebra or AlgebraDescriptor(3)
+    algebra = AlgebraDescriptor(3)
     s = 1.0 / np.sqrt(2.0)
     sx = AlgebraElement([[0, s, 0], [s, 0, s], [0, s, 0]], algebra)
     sy = AlgebraElement([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]], algebra)

@@ -50,6 +50,8 @@ MAX_WICK_ORDER = 12
 MAX_FOCK_CUTOFF = 512
 # levels the oracle keeps above the order when no cutoff is given
 FOCK_MARGIN = 6
+# the i*eps regulator of propagator_quadrature's energy integral
+QUADRATURE_EPSILON = 1e-6
 
 
 class CoarseGridWarning(UserWarning):
@@ -89,7 +91,7 @@ class FockTruncation:
         self.number = self.raising @ self.lowering
         self.hamiltonian = omega * (self.number + 0.5 * np.eye(cutoff))
 
-    def position_operator(self, t: float = 0.0) -> np.ndarray:
+    def position_operator(self, t: float) -> np.ndarray:
         """Heisenberg position at time t."""
         phase = np.exp(-1j * self.omega * t)
         return (self.lowering * phase + self.raising * np.conj(phase)) / np.sqrt(
@@ -206,9 +208,7 @@ def fock_oracle_green(times, omega: float, cutoff: int | None = None) -> complex
     return complex(product[0, 0])
 
 
-def propagator_quadrature(
-    t1: float, t2: float, omega: float, epsilon: float = 1e-6
-) -> complex:
+def propagator_quadrature(t1: float, t2: float, omega: float) -> complex:
     """Energy-integral route to the two-point kernel, for validation only.
 
     Evaluates (1/2pi) * integral dE exp(-iE(t1-t2)) / (omega^2 - E^2 - i eps)
@@ -228,11 +228,11 @@ def propagator_quadrature(
 
     def base_real(e):
         d = omega * omega - e * e
-        return d / (d * d + epsilon * epsilon)
+        return d / (d * d + QUADRATURE_EPSILON * QUADRATURE_EPSILON)
 
     def base_imag(e):
         d = omega * omega - e * e
-        return epsilon / (d * d + epsilon * epsilon)
+        return QUADRATURE_EPSILON / (d * d + QUADRATURE_EPSILON * QUADRATURE_EPSILON)
 
     quad_opts = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
     total = 0.0 + 0.0j

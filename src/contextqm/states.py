@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebra import AlgebraElement, element_fingerprint, spectrum
-from .contexts import Context, ContextRegistry, IncompatibleObservableError
+from .contexts import Context, ContextRegistry
 
 __all__ = [
     "Character",
@@ -106,14 +106,6 @@ def count_draws(probs, rng, size: int) -> np.ndarray:
     return np.diff([0, *at_or_below, size])
 
 
-def _reads(ctx: Context, element: AlgebraElement) -> np.ndarray:
-    """``ctx.diagonal_values(element)``; a non-member is rejected."""
-    reads = ctx.diagonal_values(element)
-    if reads is None:
-        raise IncompatibleObservableError(f"observable is not contained in context {ctx.id}")
-    return reads
-
-
 def _unit_vector(vector) -> np.ndarray:
     """The vector scaled to unit length; a zero or non-finite one is rejected."""
     vec = np.asarray(vector, dtype=np.complex128)
@@ -138,7 +130,7 @@ class Character:
 
     def value(self, element: AlgebraElement) -> float:
         """Entry ``index`` of the context's ``diagonal_values``: an eigenvalue."""
-        return float(_reads(self.context, element)[self.index])
+        return float(self.context.reads(element)[self.index])
 
 
 @dataclass(frozen=True)
@@ -210,7 +202,14 @@ class ElementaryState:
         return layer
 
     def ensure_layer(self, ctx: Context, rng=None) -> Character:
-        """Return the character for ctx, drawing one if absent."""
+        """Return the character for ctx, drawing one if absent.  An attached
+        vector whose length is not the context's dimension is rejected."""
+        vector = self.attached_vector
+        if vector is not None and len(vector) != ctx.dimension:
+            raise ValueError(
+                f"attached vector has length {len(vector)}, "
+                f"context {ctx.id} has dimension {ctx.dimension}"
+            )
         layer = self._stored_layer(ctx)
         if layer is not None:
             return layer
@@ -221,8 +220,8 @@ class ElementaryState:
                 f"no character index in context {ctx.id} is consistent "
                 "with the state's stable records"
             )
-        if self.attached_vector is not None:
-            amplitudes = ctx.basis.conj().T @ self.attached_vector
+        if vector is not None:
+            amplitudes = ctx.basis.conj().T @ vector
             weights = np.abs(amplitudes[admissible]) ** 2
             total = weights.sum()
             if total <= 1e-30:
@@ -283,7 +282,7 @@ def evaluate(phi: ElementaryState, ctx: Context, element: AlgebraElement) -> flo
     when the observable does not belong to the context; materializes the
     layer lazily when the context is new.
     """
-    return float(_reads(ctx, element)[phi.ensure_layer(ctx).index])
+    return float(ctx.reads(element)[phi.ensure_layer(ctx).index])
 
 
 def construct_state(

@@ -25,15 +25,29 @@ from contextqm.contexts import (
     context_from_observable,
     interpolated_generator,
 )
-from contextqm.ensembles import QuantumState, ensemble_average
-from contextqm.measurement import spin1_squared_observables
-from contextqm.states import ElementaryState
+from contextqm.ensembles import QuantumState, ensemble_average, instrument_independence_report
+from contextqm.measurement import Instrument, measure, spin1_squared_observables
+from contextqm.states import Character, ElementaryState, evaluate
 from conftest import random_hermitian, random_unit_vector
 
 
 @pytest.fixture
 def registry():
     return ContextRegistry()
+
+
+@pytest.fixture
+def read_matrices(monkeypatch):
+    """Matrices handed to ``contexts._diagonal``, the one B^dagger A B read, in order."""
+    diagonal = contexts._diagonal
+    seen = []
+
+    def spy(basis, matrix):
+        seen.append(matrix)
+        return diagonal(basis, matrix)
+
+    monkeypatch.setattr(contexts, "_diagonal", spy)
+    return seen
 
 
 def _pauli():
@@ -168,6 +182,18 @@ class TestOneRoute:
         # only b inside a's 2-dim eigenspace
         assert eigensolves[1:] == [(2, 2)]
         assert contains(ctx, a) and contains(ctx, b)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: (random_hermitian(4, np.random.default_rng(5)),), spin1_squared_observables],
+        ids=["one-member", "spin1-triple"],
+    )
+    def test_a_fresh_family_reads_each_member_once(self, registry, build, read_matrices):
+        family = build()
+        ctx = context_from_family(family, registry)
+        # the sort-key read in canonical_basis is also the admission read
+        assert [id(m) for m in read_matrices] == [id(member.matrix) for member in family]
+        assert len(registry) == 1 and ctx.id == "ctx-0"
 
     def test_a_family_is_admitted_without_a_commutator_eigensolve(self, registry, eigensolves):
         family = spin1_squared_observables()
@@ -418,6 +444,58 @@ class TestContextApi:
         assert d["id"] == ctx.id
         assert d["dimension"] == 2
         assert len(d["basis"]) == 2
+
+    @pytest.mark.parametrize(
+        "algebra", [AlgebraDescriptor(2), AlgebraDescriptor(3, (1, 2))], ids=["2-dim", "blocks"]
+    )
+    def test_an_element_of_another_algebra_is_not_measured(self, registry, algebra):
+        ctx = context_from_observable(
+            AlgebraElement.from_diagonal([3.0, 2.0, 1.0], AlgebraDescriptor(3)), registry
+        )
+        # the block element is diagonal in ctx's basis, yet belongs to another algebra
+        foreign = AlgebraElement.from_diagonal(np.arange(1.0, algebra.dimension + 1), algebra)
+        phi = ElementaryState(rng=np.random.default_rng(4))
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            measure(phi, Instrument(ctx), foreign)
+        assert phi.stable == {} and phi.layers == {}
+
+
+# the callers that need a member, each as call(phi, psi, home, ctx, x, rng)
+REFUSING_CALLERS = {
+    "measure": lambda phi, psi, home, ctx, x, rng: measure(
+        phi, Instrument(ctx, "labelled"), x, rng=rng
+    ),
+    "ensemble_average": lambda phi, psi, home, ctx, x, rng: ensemble_average(
+        psi, x, ctx, 10, rng
+    ),
+    "instrument_independence_report": lambda phi, psi, home, ctx, x, rng: (
+        instrument_independence_report(psi, x, home, ctx, 10, rng)
+    ),
+    "Character.value": lambda phi, psi, home, ctx, x, rng: Character(ctx, 0).value(x),
+    "evaluate": lambda phi, psi, home, ctx, x, rng: evaluate(phi, ctx, x),
+}
+
+
+class TestRefusal:
+    """Every caller refuses a non-member through ``Context.reads``."""
+
+    @pytest.mark.parametrize("caller", REFUSING_CALLERS)
+    def test_a_non_member_is_refused_naming_the_context_and_changing_nothing(
+        self, registry, caller
+    ):
+        alg = AlgebraDescriptor(3)
+        rng = np.random.default_rng(8)
+        x = random_hermitian(3, rng)
+        home = context_from_observable(x, registry)
+        ctx = context_from_observable(AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg), registry)
+        psi = QuantumState(random_unit_vector(3, rng), alg)
+        phi = ElementaryState(rng=rng, attached_vector=psi.vector)
+        measure(phi, Instrument(home), x)  # a layer and a stable record to keep
+        layers, stable, drawn = dict(phi.layers), dict(phi.stable), rng.bit_generator.state
+        with pytest.raises(IncompatibleObservableError, match=rf"context {ctx.id}$"):
+            REFUSING_CALLERS[caller](phi, psi, home, ctx, x, rng)
+        assert phi.layers == layers and phi.stable == stable
+        assert rng.bit_generator.state == drawn
 
 
 def _fixed_basis():

@@ -181,6 +181,15 @@ class TestLazyLayers:
         assert np.array_equal(phi.attached_vector, [1.0, 0.0, 0.0])
         assert phi.stability_reset_count == 0
 
+    @pytest.mark.parametrize("stored", [False, True], ids=["fresh", "stored"])
+    def test_attached_vector_of_another_length_is_rejected(self, shared_setup, stored):
+        _, ctx1, _, _ = shared_setup
+        phi = ElementaryState(rng=np.random.default_rng(1), attached_vector=np.ones(2))
+        if stored:
+            phi.set_layer(ctx1, 0)
+        with pytest.raises(ValueError, match=f"length 2, context {ctx1.id} has dimension 3"):
+            phi.ensure_layer(ctx1)
+
     def test_layer_is_drawn_once_then_fixed(self, shared_setup):
         _, ctx1, _, _ = shared_setup
         phi = ElementaryState(rng=np.random.default_rng(11))
