@@ -104,6 +104,12 @@ def _as_matrix(data, dimension: int) -> np.ndarray:
     return mat
 
 
+def _hermitian_matrix(mat: np.ndarray) -> bool:
+    """max|A - A^dagger| <= HERMITIAN_TOL * max(1, max|A|)."""
+    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
+    return bool(np.abs(mat - mat.conj().T).max(initial=0.0) <= HERMITIAN_TOL * scale)
+
+
 class AlgebraElement:
     """A dynamical quantity: a block-diagonal complex matrix.
 
@@ -112,15 +118,16 @@ class AlgebraElement:
     Supports ``+``, ``-``, scalar ``*``, and ``@`` / ``*`` for the
     algebra product.
 
-    Three derived slots start empty and are filled on first use, so they
+    Four derived slots start empty and are filled on first use, so they
     live exactly as long as the element: ``_eigh``, the read-only result
     of one ``np.linalg.eigh`` of the matrix (see :func:`_eigh`),
     ``_context``, the context this element generated in a registry (see
-    ``contexts.context_from_observable``), and ``_fp``, the element's
-    fingerprint string (see :func:`element_fingerprint`).
+    ``contexts.context_from_observable``), ``_fp``, the element's
+    fingerprint string (see :func:`element_fingerprint`), and
+    ``_hermitian``, the answer of :meth:`is_hermitian`.
     """
 
-    __slots__ = ("matrix", "algebra", "_eigh", "_context", "_fp")
+    __slots__ = ("matrix", "algebra", "_eigh", "_context", "_fp", "_hermitian")
 
     def __init__(self, matrix, algebra: AlgebraDescriptor):
         mat = _as_matrix(matrix, algebra.dimension)
@@ -136,6 +143,7 @@ class AlgebraElement:
         self._eigh = None
         self._context = None
         self._fp = None
+        self._hermitian = None
 
     # -- constructors ------------------------------------------------------
 
@@ -187,9 +195,10 @@ class AlgebraElement:
         return complex(np.trace(self.matrix))
 
     def is_hermitian(self) -> bool:
-        mat = self.matrix
-        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-        return bool(np.abs(mat - mat.conj().T).max(initial=0.0) <= HERMITIAN_TOL * scale)
+        """Checked once per element and kept, ``False`` too: the matrix is read-only."""
+        if self._hermitian is None:
+            self._hermitian = _hermitian_matrix(self.matrix)
+        return self._hermitian
 
     def __repr__(self):
         return f"AlgebraElement(dim={self.algebra.dimension}, blocks={self.algebra.block_sizes})"
@@ -255,12 +264,21 @@ def _grouped(values: np.ndarray) -> list[list[int]]:
     """
     thr = GROUPING_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
     groups: list[list[int]] = []
-    for k, v in enumerate(values):
-        if groups and v - values[groups[-1][0]] <= thr:
+    floats = values.tolist()  # the same IEEE arithmetic, without numpy's per-scalar cost
+    for k, v in enumerate(floats):
+        if groups and v - floats[groups[-1][0]] <= thr:
             groups[-1].append(k)
         else:
             groups.append([k])
     return groups
+
+
+def _group_value(values: np.ndarray, group: list[int]) -> float:
+    """A group's spectrum point: the mean of its eigenvalues.  A simple
+    eigenvalue is taken as it is, which is that mean exactly."""
+    if len(group) == 1:
+        return float(values[group[0]])
+    return float(np.mean(values[group]))
 
 
 def _eigh(element: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +303,7 @@ def spectrum(element: AlgebraElement) -> list[float]:
     """
     _require_hermitian(element, "spectrum")
     values = _eigh(element)[0]
-    return [float(np.mean(values[g])) for g in _grouped(values)]
+    return [_group_value(values, g) for g in _grouped(values)]
 
 
 def spectral_decomposition(element: AlgebraElement) -> SpectralDecomposition:
@@ -302,7 +320,7 @@ def spectral_decomposition(element: AlgebraElement) -> SpectralDecomposition:
         vecs = vectors[:, g]
         proj = vecs @ vecs.conj().T
         proj = 0.5 * (proj + proj.conj().T)
-        pairs.append((float(np.mean(values[g])), AlgebraElement(proj, element.algebra)))
+        pairs.append((_group_value(values, g), AlgebraElement(proj, element.algebra)))
     return SpectralDecomposition(pairs=tuple(pairs))
 
 

@@ -6,6 +6,30 @@ diagonalizes every observable in the subalgebra.  Contexts are interned
 in a registry so that the same basis — reached along different
 construction routes, reordered, or rotated by per-vector phases — always
 carries the same identity.
+
+Invariants kept here:
+
+* ``diagonal_reads(basis, A)`` is the one read of an observable in a basis:
+  the real diagonal of B^dagger A B, or ``None`` when an off-diagonal entry
+  exceeds ``DIAGONAL_TOL`` * max(1, max|A|).  Membership and the values of
+  the characters are that one fact.  ``Context.diagonal_values`` applies
+  it and rejects an element of another algebra with ``ValueError``.
+* ``Context.reads`` is the one refusal of a non-member: it raises
+  ``IncompatibleObservableError`` naming the context, and every caller
+  that needs a member (``measure``, ``ensemble_average``,
+  ``instrument_independence_report``, ``Character.value``, ``evaluate``)
+  goes through it.
+* ``canonical_basis`` sorts columns by the same read and raises
+  ``NonCommutingFamilyError`` for a generator not diagonal in the vectors.
+  That sort-key read is also how a family is admitted, relative to each
+  member's scale, so a fresh k-member family takes k reads.
+* The registry looks contexts up by a sorted fingerprint-sum key, with
+  creation order deciding ties, and reuses a match only if it contains the
+  generating observables.  It rejects a basis that is not n x n, finite
+  and orthonormal.
+* An observable's context is its one-member family's, built from the
+  observable's own memoized eigenbasis and kept on the element per
+  registry, so a repeat call does no work.
 """
 
 from __future__ import annotations

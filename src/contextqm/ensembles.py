@@ -184,17 +184,20 @@ def ensemble_average(
     Each sample is an independent elementary state; only its character
     index in ``ctx`` matters for this observable, so the draw is
     vectorized over indices rather than materializing states one by one.
+    The histogram is counted per index: a spectrum point's count sums the
+    draws of the indices whose reads agree with it.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     reads = ctx.reads(element)
     probs = born_distribution(psi, ctx)
-    values = reads[draw_indices(probs / probs.sum(), rng, sample_count)]
+    indices = draw_indices(probs / probs.sum(), rng, sample_count)
+    values = reads[indices]
 
-    points = spectrum(element)
+    counts = np.bincount(indices, minlength=len(reads))
     histogram: dict = {}
-    for point in points:
-        hits = int(np.count_nonzero(agreeing(values, point)))
+    for point in spectrum(element):
+        hits = int(counts[agreeing(reads, point)].sum())
         if hits:
             histogram[round(float(point), 12)] = hits
 

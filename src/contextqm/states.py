@@ -6,6 +6,25 @@ eigenvector (a character of that commutative subalgebra).  Different
 contexts need not agree; agreement on a shared observable is the
 *stability* property, tracked explicitly through records so that layers
 materialized later can be conditioned on it.
+
+Invariants kept here:
+
+* A character's value (``Character.value``, ``evaluate``, ``is_stable``,
+  and ``measure`` in ``measurement``) is entry ``index`` of the context's
+  ``diagonal_values``, read once per context and observable.  The callers
+  that need a member read through ``Context.reads``, so a non-member
+  raises ``IncompatibleObservableError`` before any layer is drawn.
+* A layer is drawn among the indices that agree with every stable record
+  the context contains; with no records every index is admissible and no
+  read is taken.  ``ensure_layer`` rejects an attached vector whose length
+  is not the context's dimension.
+* Layers are keyed by context id, unique only within one registry, so a
+  context from another registry than a stored layer's is rejected.
+* ``draw_indices`` is the one Born sampler: inverse CDF, bit for bit
+  ``Generator.choice(n, size, p=...)`` with its checks on ``p``, and the
+  generator left in the same state.  ``count_draws`` gives the per-index
+  counts of those draws from 65536 uniforms at a time, with no index
+  array, so memory stays flat at any sample count.
 """
 
 from __future__ import annotations
@@ -188,6 +207,8 @@ class ElementaryState:
 
     def _admissible_indices(self, ctx: Context) -> np.ndarray:
         """Indices consistent with every stable record contained in ctx."""
+        if not self.stable:
+            return np.arange(ctx.dimension)
         ok = np.ones(ctx.dimension, dtype=bool)
         for record in self.stable.values():
             reads = ctx.diagonal_values(record.element)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contextqm import algebra
 from contextqm.algebra import (
+    GROUPING_TOL,
     AlgebraDescriptor,
     AlgebraElement,
     NonHermitianError,
     _eigh,
+    _grouped,
     adjoint,
     check_positivity_structure,
     commutator,
@@ -18,6 +21,7 @@ from contextqm.algebra import (
     spectral_decomposition,
     spectrum,
 )
+from contextqm.contexts import interpolated_generator
 from conftest import random_element, random_hermitian
 
 
@@ -157,6 +161,82 @@ class TestOneEigensolvePerElement:
         assert spectrum(h) == points
         assert list(decomposition.eigenvalues) == points
         assert eigensolves == [(5, 5)]
+
+
+def _numpy_scalar_groups(values):
+    """Test oracle: the grouping loop over numpy scalars that ``_grouped`` replaced."""
+    thr = GROUPING_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
+    groups = []
+    for k, v in enumerate(values):
+        if groups and v - values[groups[-1][0]] <= thr:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+# offsets around the grouping threshold, in units of the spectrum's scale
+NEAR_TIES = [0.0, 1e-13, 4e-10, GROUPING_TOL, GROUPING_TOL * (1 + 1e-7), 3e-9, 0.5]
+
+
+class TestOnceWorkEqualsTheFullRoute:
+    """Simple eigenvalues taken as they are, grouping over Python floats and a
+    kept Hermitian answer each equal the route that did the full work."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        points=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.integers(1, 3)), min_size=1, max_size=4
+        ),
+        jitter=st.sampled_from(NEAR_TIES),
+    )
+    def test_spectrum_and_decomposition_equal_the_all_mean_route(self, seed, points, jitter):
+        # repeated and near-repeated values, conjugated by a random unitary
+        diag = [value + k * jitter for value, count in points for k in range(count)]
+        n = len(diag)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        raw = (q * diag) @ q.conj().T
+        h = AlgebraElement(0.5 * (raw + raw.conj().T), AlgebraDescriptor(n))
+        values, vectors = np.linalg.eigh(h.matrix)
+        groups = _numpy_scalar_groups(values)
+        means = [float(np.mean(values[g])) for g in groups]
+        assert spectrum(h) == means
+        decomposition = spectral_decomposition(h)
+        assert list(decomposition.eigenvalues) == means
+        for (_, proj), g in zip(decomposition.pairs, groups):
+            vecs = vectors[:, g]
+            oracle = vecs @ vecs.conj().T
+            assert np.array_equal(proj.matrix, 0.5 * (oracle + oracle.conj().T))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(-1e3, 1e3),
+        steps=st.lists(st.sampled_from(NEAR_TIES), max_size=8),
+    )
+    def test_grouped_equals_the_numpy_scalar_loop(self, start, steps):
+        scale = max(1.0, abs(start))
+        values = np.sort(start + scale * np.cumsum([0.0, *steps]))
+        assert _grouped(values) == _numpy_scalar_groups(values)
+        assert _grouped(values[:0]) == _numpy_scalar_groups(values[:0]) == []
+
+    def test_fifty_interpolations_check_each_input_once(self, rng, monkeypatch):
+        checked = []
+        check = algebra._hermitian_matrix
+        monkeypatch.setattr(
+            algebra, "_hermitian_matrix", lambda mat: checked.append(mat) or check(mat)
+        )
+        a1, a2 = random_hermitian(4, rng), random_hermitian(4, rng)
+        for alpha in np.linspace(0.0, np.pi, 50):
+            interpolated_generator(a1, a2, alpha)
+        assert [m is a1.matrix for m in checked] == [True, False]
+        assert checked[1] is a2.matrix
+        bad = random_element(4, rng)
+        for _ in range(2):  # the kept False still refuses
+            with pytest.raises(NonHermitianError):
+                interpolated_generator(bad, a2, 0.3)
+        assert len(checked) == 3 and checked[2] is bad.matrix
 
 
 class TestSpectralDecomposition:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint
+from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint, spectrum
 from contextqm.contexts import (
     ContextRegistry,
     context_from_family,
@@ -24,7 +24,7 @@ from contextqm.measurement import (
     spin1_squared_observables,
     spin_axis_observable,
 )
-from contextqm.states import evaluate, is_stable
+from contextqm.states import agreeing, is_stable
 from conftest import ChoiceSpy, random_hermitian, random_unit_vector
 
 
@@ -203,6 +203,30 @@ class TestEnsembleAverage:
             assert rep.empirical_mean == float(values.mean())
             assert instrument_independence_report(psi, shared, c1, c2, 500, spy)["ok"]
             assert spy.choices == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_histogram_per_index_equals_the_per_sample_count(self, registry, seed):
+        rng = np.random.default_rng(seed)
+        ctx = context_from_observable(random_hermitian(5, rng), registry)
+        # repeated values, and a pair within STABILITY_TOL that the spectrum merges
+        diag = np.array([1.0, 1.0, -2.0, 3.0, 3.0 + 1e-12])
+        element = AlgebraElement((ctx.basis * diag) @ ctx.basis.conj().T, ctx.algebra)
+        psi = QuantumState(random_unit_vector(5, rng), ctx.algebra)
+        drawn, oracle = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        report = ensemble_average(psi, element, ctx, 3000, drawn)
+        probs = born_distribution(psi, ctx)
+        values = ctx.diagonal_values(element)[
+            oracle.choice(5, size=3000, p=probs / probs.sum())
+        ]
+        expected = {}
+        for point in spectrum(element):
+            hits = int(np.count_nonzero(agreeing(values, point)))
+            if hits:
+                expected[round(float(point), 12)] = hits
+        assert list(report.histogram.items()) == list(expected.items())
+        assert drawn.bit_generator.state == oracle.bit_generator.state
+        assert report.empirical_mean == float(values.mean())
+        assert report.sample_variance == float(values.var(ddof=1))
 
     def test_error_band_shrinks_with_sample_size(self, registry):
         # Quadrupling the sample count halves the statistical band.

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from contextqm.algebra import AlgebraDescriptor, AlgebraElement
+from contextqm.algebra import AlgebraDescriptor, AlgebraElement, spectrum
 from contextqm.contexts import (
     ContextRegistry,
     canonical_basis,
@@ -75,6 +75,17 @@ def test_register_miss_among_400_contexts(benchmark):
 
     ctx = benchmark.pedantic(registry.register, setup=unseen, rounds=200)
     assert ctx.id == f"ctx-{len(registry) - 1}"  # the last call created it
+
+
+def test_spectrum_of_a_fresh_interpolated_generator(benchmark):
+    # context_sweep's spectrum: six simple eigenvalues of a new element
+    rng, a1, a2 = _sweep()
+
+    def fresh():
+        return (interpolated_generator(a1, a2, rng.uniform(0.0, np.pi)),), {}
+
+    points = benchmark.pedantic(spectrum, setup=fresh, rounds=200)
+    assert len(points) == 6 and points == sorted(points)
 
 
 def test_ensemble_average_2000_samples(benchmark):
@@ -181,6 +192,23 @@ def test_ensure_layer_draw(benchmark):
 
     layer = benchmark.pedantic(ElementaryState.ensure_layer, setup=fresh, rounds=200)
     assert layer.context is ctx and 0 <= layer.index < 6
+
+
+def test_ensure_layer_draw_with_a_stable_record(benchmark):
+    # the conditioned draw that test_ensure_layer_draw (no records) skips
+    rng, a1, a2 = _sweep()
+    g = interpolated_generator(a1, a2, 0.4)
+    ctx = context_from_observable(g, ContextRegistry())
+    vector = random_unit_vector(6, rng)
+    value = float(ctx.diagonal_values(g)[2])
+
+    def fresh():
+        phi = ElementaryState(rng=rng, attached_vector=vector)
+        phi.add_stable_record(g, value)
+        return (phi, ctx), {}
+
+    layer = benchmark.pedantic(ElementaryState.ensure_layer, setup=fresh, rounds=200)
+    assert layer.context is ctx and layer.index == 2
 
 
 def test_wick_green_order_12(benchmark):

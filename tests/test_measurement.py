@@ -16,7 +16,6 @@ from contextqm.algebra import (
 )
 from contextqm.contexts import (
     ContextRegistry,
-    IncompatibleObservableError,
     context_from_family,
     context_from_observable,
 )
@@ -96,16 +95,6 @@ class TestSingleMeasurement:
         before = phi.layers[ctx1.id].index
         _, phi = measure(phi, inst, obs, rng=rng)
         assert phi.layers[ctx1.id].index == before
-
-    def test_incompatible_observable_rejected(self, shared_setup):
-        alg, ctx1, _, _ = shared_setup
-        off = AlgebraElement(
-            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), alg
-        )
-        inst = Instrument(ctx1, "probe")
-        phi = ElementaryState(rng=np.random.default_rng(0))
-        with pytest.raises(IncompatibleObservableError):
-            measure(phi, inst, off, rng=np.random.default_rng(0))
 
     def test_value_lies_in_spectrum(self, shared_setup):
         alg, ctx1, _, _ = shared_setup

@@ -6,13 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement
 from contextqm.contexts import (
+    Context,
     ContextRegistry,
-    IncompatibleObservableError,
     context_from_observable,
 )
 from contextqm.measurement import Instrument, measure
 from contextqm.states import (
-    Character,
     ElementaryState,
     check_character_properties,
     construct_stable_on,
@@ -62,15 +61,6 @@ class TestEvaluate:
         assert evaluate(phi, ctx, AlgebraElement.identity(alg)) == 1.0
         assert evaluate(phi, ctx, AlgebraElement.zero(alg)) == 0.0
 
-    def test_non_member_rejected(self, registry):
-        alg = AlgebraDescriptor(2)
-        sz = AlgebraElement.from_diagonal([1.0, -1.0], alg)
-        sx = AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]), alg)
-        ctx = context_from_observable(sz, registry)
-        phi = construct_state({ctx.id: 0}, registry)
-        with pytest.raises(IncompatibleObservableError):
-            evaluate(phi, ctx, sx)
-
     def test_unknown_context_id_rejected(self, registry):
         with pytest.raises(KeyError):
             construct_state({"ctx-99": 0}, registry)
@@ -106,20 +96,32 @@ class TestOneRead:
         measured, fresh = measure(fresh, Instrument(ctx), member)
         assert measured == reads[fresh.layers[ctx.id].index]
 
-    def test_character_rejects_a_non_member(self, registry):
-        alg = AlgebraDescriptor(2)
-        ctx = context_from_observable(AlgebraElement.from_diagonal([1.0, -1.0], alg), registry)
-        sx = AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]), alg)
-        with pytest.raises(IncompatibleObservableError):
-            Character(ctx, 0).value(sx)
 
-    def test_evaluate_of_a_non_member_draws_no_layer(self, registry, rng):
-        alg = AlgebraDescriptor(3)
-        ctx = context_from_observable(AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg), registry)
-        phi = ElementaryState(rng=rng)
-        with pytest.raises(IncompatibleObservableError):
-            evaluate(phi, ctx, random_hermitian(3, rng, alg))
-        assert phi.layers == {}
+class TestNoRecordsNoMask:
+    """With no stable records, every index is admissible without a read."""
+
+    @pytest.mark.parametrize("attached", [True, False])
+    def test_the_draw_is_the_full_mask_draw_and_reads_nothing(self, monkeypatch, attached):
+        read = Context.diagonal_values
+        reads = []
+        monkeypatch.setattr(
+            Context, "diagonal_values", lambda ctx, el: reads.append(el) or read(ctx, el)
+        )
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            ctx = context_from_observable(random_hermitian(4, rng), ContextRegistry())
+            vector = random_unit_vector(4, rng) if attached else None
+            phi = ElementaryState(rng=np.random.default_rng([seed, 1]), attached_vector=vector)
+            oracle = np.random.default_rng([seed, 1])
+            if attached:
+                weights = np.abs(ctx.basis.conj().T @ phi.attached_vector) ** 2
+                weights = weights / weights.sum()
+            else:
+                weights = np.full(4, 0.25)
+            reads.clear()
+            assert phi.ensure_layer(ctx).index == oracle.choice(4, p=weights)
+            assert phi.rng.bit_generator.state == oracle.bit_generator.state
+            assert reads == []
 
 
 class TestLazyLayers:
