@@ -28,8 +28,6 @@ __all__ = [
     "is_one_dim_projector",
     "check_positivity_structure",
     "element_fingerprint",
-    "element_to_json_dict",
-    "element_from_json_dict",
 ]
 
 # tolerance for accepting a matrix as Hermitian / block structured
@@ -226,13 +224,6 @@ class SpectralDecomposition:
             total += value * proj.matrix
         return AlgebraElement(total, algebra)
 
-    def projector_sum(self) -> AlgebraElement:
-        algebra = self.pairs[0][1].algebra
-        total = np.zeros((algebra.dimension, algebra.dimension), dtype=np.complex128)
-        for _, proj in self.pairs:
-            total += proj.matrix
-        return AlgebraElement(total, algebra)
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -401,25 +392,3 @@ def element_fingerprint(element: AlgebraElement) -> str:
     digest.update(np.ascontiguousarray(rounded).tobytes())
     element._fp = digest.hexdigest()
     return element._fp
-
-
-def element_to_json_dict(element: AlgebraElement) -> dict:
-    """Row-major JSON form: entries as [re, im] pairs plus shape headers."""
-    return {
-        "dimension": element.algebra.dimension,
-        "block_sizes": list(element.algebra.block_sizes),
-        "matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in element.matrix
-        ],
-    }
-
-
-def element_from_json_dict(doc: dict) -> AlgebraElement:
-    algebra = AlgebraDescriptor(
-        dimension=int(doc["dimension"]), block_sizes=tuple(doc["block_sizes"])
-    )
-    mat = np.array(
-        [[complex(re, im) for re, im in row] for row in doc["matrix"]],
-        dtype=np.complex128,
-    )
-    return AlgebraElement(mat, algebra)

@@ -136,18 +136,6 @@ class Context:
             raise IncompatibleObservableError(f"observable is not contained in context {self.id}")
         return reads
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "dimension": self.dimension,
-            "block_sizes": list(self.algebra.block_sizes),
-            "basis": [
-                [[float(z.real), float(z.imag)] for z in self.basis[:, k]]
-                for k in range(self.dimension)
-            ],
-            "fingerprint": [float(x) for x in self.fingerprint],
-        }
-
     def __repr__(self):
         return f"Context(id={self.id!r}, dim={self.dimension})"
 

@@ -37,7 +37,7 @@ class QuantumState:
 
     ``home_context`` marks the context on which members of the ensemble
     are stable by definition of the equivalence class; leave it unset for
-    plain per-context Born sampling.
+    plain per-context Born sampling.  It must be a context of ``algebra``.
     """
 
     __slots__ = ("vector", "algebra", "home_context")
@@ -50,6 +50,8 @@ class QuantumState:
             )
         if not np.isfinite(vec).all():
             raise ValueError("state vector has a NaN or infinite entry")
+        if home_context is not None and home_context.algebra != algebra:
+            raise ValueError(f"home context {home_context.id} belongs to a different algebra")
         length = np.linalg.norm(vec)
         if abs(length - 1.0) > 1e-6:
             raise ValueError(f"state vector is not normalized (norm {length:.3e})")
@@ -81,9 +83,7 @@ def x_polarized() -> QuantumState:
 class EnsembleReport:
     """Empirical-vs-exact summary of one sampled observable.
 
-    ``histogram`` counts samples per spectrum point.  Reports merge
-    associatively (parallel-variance combination), so partitioned runs
-    reduce to the same result.
+    ``histogram`` counts samples per spectrum point.
     """
 
     observable_fingerprint: str
@@ -98,30 +98,6 @@ class EnsembleReport:
         if self.sample_count <= 0:
             return float("inf")
         return float(np.sqrt(self.sample_variance / self.sample_count))
-
-    def merge(self, other: "EnsembleReport") -> "EnsembleReport":
-        if self.observable_fingerprint != other.observable_fingerprint:
-            raise ValueError("cannot merge reports for different observables")
-        n1, n2 = self.sample_count, other.sample_count
-        n = n1 + n2
-        delta = other.empirical_mean - self.empirical_mean
-        mean = self.empirical_mean + delta * n2 / n
-        m2 = (
-            self.sample_variance * max(n1 - 1, 0)
-            + other.sample_variance * max(n2 - 1, 0)
-            + delta**2 * n1 * n2 / n
-        )
-        hist = dict(self.histogram)
-        for key, count in other.histogram.items():
-            hist[key] = hist.get(key, 0) + count
-        return EnsembleReport(
-            observable_fingerprint=self.observable_fingerprint,
-            sample_count=n,
-            empirical_mean=mean,
-            exact_mean=self.exact_mean,
-            sample_variance=m2 / max(n - 1, 1),
-            histogram=hist,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,6 +231,8 @@ def instrument_independence_report(
     distributions at every spectrum threshold are compared against the
     4-pooled-standard-error band.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     contexts = (ctx1, ctx2)
     reads = [ctx.reads(element) for ctx in contexts]
     points = sorted(spectrum(element))

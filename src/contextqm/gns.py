@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement
-from .ensembles import QuantumState
 from .states import _unit_vector
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "GnsSpace",
     "matrix_units",
     "build_gns",
-    "represent",
     "vacuum_expectation",
     "compression_identity_check",
     "pure_state_trials",
@@ -87,10 +85,6 @@ class StateFunctional:
         """The pure functional <tau, . tau> of a unit vector."""
         vec = _unit_vector(np.reshape(vector, -1))
         return cls(np.outer(vec, vec.conj()), algebra)
-
-    @classmethod
-    def from_quantum_state(cls, psi: QuantumState) -> "StateFunctional":
-        return cls.from_vector(psi.vector, psi.algebra)
 
     @classmethod
     def tracial(cls, algebra: AlgebraDescriptor) -> "StateFunctional":
@@ -219,23 +213,10 @@ class GnsSpace:
         """The class of the identity: the concatenated vec(W_b)."""
         return np.concatenate([w.reshape(-1) for w in self._factors])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.algebra.dimension,
-            "block_sizes": list(self.algebra.block_sizes),
-            "units": len(matrix_units(self.algebra)),
-            "rank": self.rank,
-            "tolerance": RANK_CUTOFF,
-        }
-
 
 def build_gns(functional: StateFunctional) -> GnsSpace:
     """Construct the GNS space of a functional from its spectral factors."""
     return GnsSpace(functional)
-
-
-def represent(space: GnsSpace, element: AlgebraElement) -> np.ndarray:
-    return space.represent(element)
 
 
 def vacuum_expectation(space: GnsSpace, element: AlgebraElement) -> complex:

@@ -42,7 +42,6 @@ __all__ = [
     "ks_noncontextual_search",
     "load_ray_csv",
     "peres33_rays",
-    "transcript_to_json_dict",
 ]
 
 ORTHOGONALITY_TOL = 1e-9
@@ -150,22 +149,6 @@ def run_sequence(phi0: ElementaryState, plan, rng=None) -> list[MeasurementRecor
             )
         )
     return records
-
-
-def transcript_to_json_dict(records) -> dict:
-    return {
-        "steps": [
-            {
-                "step": r.step,
-                "instrument_type": r.instrument_type,
-                "instrument_label": r.instrument_label,
-                "observable": r.observable_fingerprint,
-                "value": r.value,
-                "stable_count": len(r.post_stable),
-            }
-            for r in records
-        ]
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .gns import StateFunctional
-from .reports import parse_float_csv
 
 __all__ = [
     "CoarseGridWarning",
@@ -97,11 +96,6 @@ class FockTruncation:
         return (self.lowering * phase + self.raising * np.conj(phase)) / np.sqrt(
             2.0 * self.omega
         )
-
-    def commutator_defect(self) -> np.ndarray:
-        """[a-, a+] minus the identity: zero everywhere except the top level."""
-        comm = self.lowering @ self.raising - self.raising @ self.lowering
-        return comm - np.eye(self.cutoff)
 
 
 def two_point(t1: float, t2: float, omega: float) -> complex:
@@ -397,20 +391,6 @@ class SourceFunction:
     @classmethod
     def from_callable(cls, fn, grid: TimeGrid) -> "SourceFunction":
         return cls(grid, np.array([fn(t) for t in grid.nodes()], dtype=float))
-
-    @classmethod
-    def from_csv(cls, path) -> "SourceFunction":
-        """Read "t,j" lines ('#' comments); the times must be uniform."""
-        with open(path, "r", encoding="utf-8") as handle:
-            rows, _ = parse_float_csv(handle.read(), 2, f"source file {path}")
-        if len(rows) < 2:
-            raise ValueError("source file needs at least 2 samples")
-        times, values = rows[:, 0], rows[:, 1]
-        deltas = np.diff(times)
-        if deltas.min() <= 0 or np.abs(deltas - deltas[0]).max() > 1e-9 * abs(deltas[0]):
-            raise ValueError("source grid must be uniform and increasing")
-        grid = TimeGrid(float(times[0]), float(times[-1]), len(times))
-        return cls(grid, values)
 
 
 def generating_functional(source: SourceFunction, omega: float) -> complex:

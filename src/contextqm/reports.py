@@ -4,8 +4,8 @@ Reports must be byte-identical across runs with the same command, seed
 and parameters, so everything nondeterministic (wall time, hostnames)
 stays out of them; timings go to stderr.  JSON is sorted and indented;
 CSV rows carry a fixed field order with full-precision floats.  The
-module also holds the one reader for the '#'-commented float CSV files
-the library loads (ray sets, source functions).
+module also holds the reader for the '#'-commented float CSV files of
+ray sets.
 """
 
 from __future__ import annotations

@@ -168,8 +168,9 @@ class ElementaryState:
     seen draws a character index, restricted to indices consistent with
     all stable records contained in that context, weighted by the Born
     distribution of the attached unit vector when one is present and
-    uniformly otherwise.  Mutable; a simulation run must own it
-    exclusively.
+    uniformly otherwise.  The vector is attached at construction, and only
+    ``measure``'s projection replaces it.  Mutable; a simulation run must
+    own it exclusively.
     Layers are keyed by context id, unique only within one registry, so
     a context from another registry than a stored layer's is rejected.
     """
@@ -179,7 +180,6 @@ class ElementaryState:
         self.stable: dict[str, StableRecord] = {}
         self.rng = rng
         self.attached_vector = None
-        self.stability_reset_count = 0
         if attached_vector is not None:
             self.attached_vector = _unit_vector(attached_vector)
 
@@ -188,20 +188,6 @@ class ElementaryState:
     def add_stable_record(self, element: AlgebraElement, value: float):
         fp = element_fingerprint(element)
         self.stable[fp] = StableRecord(fp, element, float(value))
-
-    def stable_fingerprints(self) -> set[str]:
-        return set(self.stable)
-
-    def attach_state(self, vector: np.ndarray):
-        """Attach (or replace) the quantum state driving lazy layer draws.
-
-        Attaching resets all stability records: stability certified under
-        one ensemble is not carried into another.  The reset is counted so
-        report metadata can flag it.
-        """
-        self.attached_vector = _unit_vector(vector)
-        self.stable = {}
-        self.stability_reset_count += 1
 
     # -- layers -------------------------------------------------------------
 
@@ -268,21 +254,6 @@ class ElementaryState:
     def set_layer(self, ctx: Context, index: int):
         self._stored_layer(ctx)
         self.layers[ctx.id] = Character(ctx, index)
-
-    # -- export --------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "layers": sorted(
-                (layer.context.id, layer.index) for layer in self.layers.values()
-            ),
-            "stable_records": sorted(
-                (fp, record.value) for fp, record in self.stable.items()
-            ),
-            "stability_reset_on_attach": True,
-            "stability_reset_count": self.stability_reset_count,
-            "has_attached_state": self.attached_vector is not None,
-        }
 
     def __repr__(self):
         return (

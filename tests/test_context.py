@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import json
 import weakref
 
 import numpy as np
@@ -437,14 +436,6 @@ class TestContextApi:
         if leak == 1.0:
             assert reads is None
 
-    def test_json_dict(self, registry):
-        _, _, _, sz = _pauli()
-        ctx = context_from_observable(sz, registry)
-        d = ctx.to_json_dict()
-        assert d["id"] == ctx.id
-        assert d["dimension"] == 2
-        assert len(d["basis"]) == 2
-
     @pytest.mark.parametrize(
         "algebra", [AlgebraDescriptor(2), AlgebraDescriptor(3, (1, 2))], ids=["2-dim", "blocks"]
     )
@@ -653,9 +644,8 @@ class TestSortedKeyLookup:
         assert hashlib.sha256(fp.tobytes()).hexdigest() == (
             "18c4e660e16bde9ec3f43f7cff85e4e0ba24383cd03115e4b5b4636ee9c0a395"
         )
-        doc = json.dumps(ctx.to_json_dict(), sort_keys=True).encode()
-        assert hashlib.sha256(doc).hexdigest() == (
-            "b0ea788a309e9af30a4cd5a16e9cf1561c54b104a3152ead5d5c6c45400fc1d5"
+        assert hashlib.sha256(ctx.basis.tobytes()).hexdigest() == (
+            "cd71b228e3b608a3a5be0e831522a3d981cf629ce80a7065e40f4b653ca13854"
         )
 
 

@@ -8,7 +8,6 @@ from contextqm.contexts import (
     context_from_observable,
 )
 from contextqm.ensembles import (
-    EnsembleReport,
     QuantumState,
     born_distribution,
     ensemble_average,
@@ -69,6 +68,17 @@ class TestQuantumState:
         psi = x_polarized()
         assert abs(psi.expectation(sx) - 1.0) <= 1e-12
         assert abs(psi.expectation(sz)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "algebra", [AlgebraDescriptor(2), AlgebraDescriptor(3, (1, 2))], ids=["2-dim", "blocks"]
+    )
+    def test_home_context_of_another_algebra_rejected(self, registry, algebra):
+        ctx = context_from_observable(
+            AlgebraElement.from_diagonal(np.arange(algebra.dimension, dtype=float), algebra),
+            registry,
+        )
+        with pytest.raises(ValueError, match=f"home context {ctx.id} belongs to a different algebra"):
+            QuantumState([1, 0, 0], AlgebraDescriptor(3), home_context=ctx)
 
     def test_projector_is_rank_one(self):
         psi = x_polarized()
@@ -239,55 +249,6 @@ class TestEnsembleAverage:
         ratio = small.standard_error / large.standard_error
         assert ratio == pytest.approx(2.0, rel=0.05)
 
-    def test_merge_pools_counts_and_means(self, registry):
-        alg = AlgebraDescriptor(2)
-        sz = AlgebraElement.from_diagonal([1.0, -1.0], alg)
-        ctx = context_from_observable(sz, registry)
-        psi = x_polarized()
-        r1 = ensemble_average(psi, sz, ctx, 600, np.random.default_rng(1))
-        r2 = ensemble_average(psi, sz, ctx, 400, np.random.default_rng(2))
-        merged = r1.merge(r2)
-        assert merged.sample_count == 1000
-        expected_mean = (600 * r1.empirical_mean + 400 * r2.empirical_mean) / 1000
-        assert merged.empirical_mean == pytest.approx(expected_mean, abs=1e-14)
-        for v in (-1.0, 1.0):
-            assert merged.histogram[v] == r1.histogram[v] + r2.histogram[v]
-
-    def test_merge_variance_matches_pooled_recompute(self):
-        # Rebuild the pooled variance directly from the two histograms.
-        values = np.array([-1.0, 1.0])
-
-        def from_counts(counts):
-            n = counts.sum()
-            samples = np.repeat(values, counts)
-            return EnsembleReport(
-                observable_fingerprint="x",
-                sample_count=int(n),
-                empirical_mean=float(samples.mean()),
-                exact_mean=0.0,
-                sample_variance=float(samples.var(ddof=1)),
-                histogram={v: int(c) for v, c in zip(values, counts)},
-            )
-
-        r1 = from_counts(np.array([130, 70]))
-        r2 = from_counts(np.array([40, 160]))
-        merged = r1.merge(r2)
-        pooled = np.concatenate(
-            [np.repeat(values, [130, 70]), np.repeat(values, [40, 160])]
-        )
-        assert merged.empirical_mean == pytest.approx(pooled.mean(), abs=1e-13)
-        assert merged.sample_variance == pytest.approx(pooled.var(ddof=1), abs=1e-13)
-
-    def test_incompatible_rejected(self, registry):
-        alg = AlgebraDescriptor(2)
-        sz = AlgebraElement.from_diagonal([1.0, -1.0], alg)
-        sx = AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]), alg)
-        ctx = context_from_observable(sz, registry)
-        from contextqm.contexts import IncompatibleObservableError
-
-        with pytest.raises(IncompatibleObservableError):
-            ensemble_average(x_polarized(), sx, ctx, 10, np.random.default_rng(0))
-
 
 class TestExactAverages:
     def test_eigenstate_reads_diagonal(self, registry):
@@ -385,25 +346,16 @@ class TestInstrumentIndependence:
         )
         assert rep_a == rep_b
 
-    def test_observable_must_live_in_both_contexts(self, registry):
-        base = spin1_squared_observables()
-        c1 = context_from_family(base, registry)
-        frame = np.array(
-            [
-                [0.0, 1.0, 0.0],
-                [np.cos(0.4), 0.0, np.sin(0.4)],
-                [-np.sin(0.4), 0.0, np.cos(0.4)],
-            ]
-        )
-        c2 = context_from_family(rotated_squared_family(frame), registry)
-        from contextqm.contexts import IncompatibleObservableError
-
-        with pytest.raises(IncompatibleObservableError):
-            instrument_independence_report(
-                QuantumState(np.array([0.6, 0.0, 0.8]), base[0].algebra),
-                base[2],
-                c1,
-                c2,
-                100,
-                np.random.default_rng(0),
-            )
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sample_count", [0, -1])
+    def test_sample_count_below_one_rejected(self, registry, sample_count):
+        # the same refusal as ensemble_average's, before any draw
+        shared, c1, c2 = _x_shared_spin1_contexts(registry)
+        psi = QuantumState(np.array([0.6, 0.0, 0.8]), shared.algebra)
+        rng = np.random.default_rng(0)
+        drawn = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample_count must be at least 1"):
+            ensemble_average(psi, shared, c1, sample_count, rng)
+        with pytest.raises(ValueError, match="sample_count must be at least 1"):
+            instrument_independence_report(psi, shared, c1, c2, sample_count, rng)
+        assert rng.bit_generator.state == drawn

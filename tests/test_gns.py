@@ -16,7 +16,6 @@ from contextqm.gns import (
     compression_identity_check,
     matrix_units,
     pure_state_trials,
-    represent,
     seminorm_ideal,
     vacuum_expectation,
     verify_gns,
@@ -60,9 +59,8 @@ class TestStateFunctional:
 
     def test_positivity(self, rng):
         alg = AlgebraDescriptor(3)
-        f = StateFunctional.from_quantum_state(
-            QuantumState(random_unit_vector(3, rng), alg)
-        )
+        psi = QuantumState(random_unit_vector(3, rng), alg)
+        f = StateFunctional.from_vector(psi.vector, psi.algebra)
         for _ in range(20):
             a = random_element(3, rng)
             assert np.real(f.value(adjoint(a) @ a)) >= -1e-12
@@ -139,7 +137,7 @@ class TestClosedFormAgainstGramOracle:
             lhs = np.vdot(space.class_vector(r), space.class_vector(s))
             assert abs(lhs - f.value(adjoint(r) @ s)) <= 1e-10
             # Pi(S) acts on the class of R as the class of S R
-            moved = represent(space, s) @ space.class_vector(r)
+            moved = space.represent(s) @ space.class_vector(r)
             assert np.max(np.abs(moved - space.class_vector(s @ r))) <= 1e-10
             assert abs(vacuum_expectation(space, s) - f.value(s)) <= 1e-10
 
@@ -260,7 +258,7 @@ class TestRepresentation:
         alg = AlgebraDescriptor(3)
         f = StateFunctional.from_vector(random_unit_vector(3, rng), alg)
         space = build_gns(f)
-        rep = represent(space, AlgebraElement.identity(alg))
+        rep = space.represent(AlgebraElement.identity(alg))
         assert np.max(np.abs(rep - np.eye(space.rank))) <= 1e-10
 
     def test_homomorphism_and_adjoint(self, rng):
@@ -273,10 +271,10 @@ class TestRepresentation:
             space = build_gns(f)
             for _ in range(10):
                 a, b = random_element(3, rng), random_element(3, rng)
-                ra, rb = represent(space, a), represent(space, b)
-                rab = represent(space, a @ b)
+                ra, rb = space.represent(a), space.represent(b)
+                rab = space.represent(a @ b)
                 assert np.max(np.abs(ra @ rb - rab)) <= 1e-10
-                rad = represent(space, adjoint(a))
+                rad = space.represent(adjoint(a))
                 assert np.max(np.abs(rad - ra.conj().T)) <= 1e-10
 
     def test_action_on_classes(self, rng):
@@ -286,7 +284,7 @@ class TestRepresentation:
         space = build_gns(f)
         for _ in range(10):
             s, r = random_element(3, rng), random_element(3, rng)
-            lhs = represent(space, s) @ space.class_vector(r)
+            lhs = space.represent(s) @ space.class_vector(r)
             rhs = space.class_vector(s @ r)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
@@ -330,14 +328,7 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             space.class_vector(foreign)
         with pytest.raises(ValueError):
-            represent(space, foreign)
-
-    def test_json_summary(self, rng):
-        alg = AlgebraDescriptor(2)
-        space = build_gns(StateFunctional.tracial(alg))
-        d = space.to_json_dict()
-        assert d["rank"] == 4
-        assert d["dimension"] == 2
+            space.represent(foreign)
 
 
 class TestVacuumExpectation:
@@ -368,20 +359,20 @@ class TestStateVectorBridge:
         alg = AlgebraDescriptor(3)
         vec = random_unit_vector(3, rng)
         psi = QuantumState(vec, alg)
-        space = build_gns(StateFunctional.from_quantum_state(psi))
+        space = build_gns(StateFunctional.from_vector(psi.vector, psi.algebra))
         assert class_equality_check(space, psi.projector)
 
     def test_class_equality_fails_for_orthogonal_projector(self):
         alg = AlgebraDescriptor(3)
         psi = QuantumState(np.array([1.0, 0.0, 0.0]), alg)
-        space = build_gns(StateFunctional.from_quantum_state(psi))
+        space = build_gns(StateFunctional.from_vector(psi.vector, psi.algebra))
         q = AlgebraElement.from_diagonal([0.0, 1.0, 0.0], alg)
         assert not class_equality_check(space, q)
 
     def test_identity_class_always_equal(self, rng):
         alg = AlgebraDescriptor(2)
         psi = QuantumState(random_unit_vector(2, rng), alg)
-        space = build_gns(StateFunctional.from_quantum_state(psi))
+        space = build_gns(StateFunctional.from_vector(psi.vector, psi.algebra))
         assert class_equality_check(space, AlgebraElement.identity(alg))
 
 
@@ -558,7 +549,7 @@ def _per_trial_loop(algebra, trials, rng):
     for _ in range(trials):
         raw = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
         psi = QuantumState(raw / np.linalg.norm(raw), algebra)
-        functional = StateFunctional.from_quantum_state(psi)
+        functional = StateFunctional.from_vector(psi.vector, psi.algebra)
         space = build_gns(functional)
         rank_ok = rank_ok and space.rank == dimension
         element = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(

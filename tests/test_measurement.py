@@ -37,9 +37,8 @@ from contextqm.measurement import (
     run_sequence,
     spin1_squared_observables,
     spin_axis_observable,
-    transcript_to_json_dict,
 )
-from contextqm.states import ElementaryState, construct_state, is_stable
+from contextqm.states import ElementaryState, is_stable
 from conftest import random_hermitian, random_unit_vector
 
 
@@ -140,8 +139,8 @@ class TestSingleMeasurement:
         registry = ContextRegistry()
         gen = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], AlgebraDescriptor(3))
         ctx = context_from_observable(gen, registry)
-        phi = construct_state({ctx.id: 0}, registry)
-        phi.attach_state(ctx.basis[:, 2])  # the value-1 eigenvector; layer 0 reads 3
+        phi = ElementaryState(attached_vector=ctx.basis[:, 2])  # the value-1 eigenvector
+        phi.set_layer(ctx, 0)  # layer 0 reads 3
         layers, stable, vector = dict(phi.layers), dict(phi.stable), phi.attached_vector
         with pytest.raises(ValueError, match="no weight"):
             measure(phi, Instrument(ctx, "probe"), gen)
@@ -337,10 +336,10 @@ class TestSequences:
         rng = np.random.default_rng(1)
         phi = ElementaryState(rng=rng, attached_vector=np.ones(3) / np.sqrt(3))
         records = run_sequence(phi, [(inst, a), (inst, a)], rng=rng)
-        d = transcript_to_json_dict(records)
-        assert len(d["steps"]) == 2
-        assert d["steps"][0]["instrument_label"] == "probe"
-        assert d["steps"][0]["value"] == d["steps"][1]["value"]
+        assert [r.step for r in records] == [0, 1]
+        assert [r.instrument_label for r in records] == ["probe", "probe"]
+        assert records[0].value == records[1].value
+        assert records[1].post_stable == {records[1].observable_fingerprint}
 
 
 class TestSpinObservables:

@@ -176,12 +176,6 @@ class TestLazyLayers:
     def test_zero_or_non_finite_attached_vector_rejected(self, vector):
         with pytest.raises(ValueError):
             ElementaryState(attached_vector=vector)
-        phi = ElementaryState(attached_vector=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            phi.attach_state(vector)
-        # the rejected vector leaves the state as it was
-        assert np.array_equal(phi.attached_vector, [1.0, 0.0, 0.0])
-        assert phi.stability_reset_count == 0
 
     @pytest.mark.parametrize("stored", [False, True], ids=["fresh", "stored"])
     def test_attached_vector_of_another_length_is_rejected(self, shared_setup, stored):
@@ -276,34 +270,14 @@ class TestConstructStableOn:
 
 
 class TestAttachedStateLifecycle:
-    def test_attach_resets_stable_records(self, shared_setup):
-        alg, ctx1, _, shared = shared_setup
-        phi = ElementaryState(rng=np.random.default_rng(7))
-        phi.add_stable_record(shared, 7.0)
-        assert phi.stable_fingerprints()
-        phi.attach_state(np.array([0.0, 1.0, 0.0]))
-        assert not phi.stable_fingerprints()
-        assert phi.stability_reset_count == 1
-
-    def test_reset_is_flagged_in_json(self, shared_setup):
-        _, ctx1, _, shared = shared_setup
-        phi = ElementaryState(rng=np.random.default_rng(7))
-        phi.add_stable_record(shared, 7.0)
-        phi.attach_state(np.array([1.0, 0.0, 0.0]))
-        d = phi.to_json_dict()
-        assert d["stability_reset_on_attach"] is True
-        assert d["stability_reset_count"] == 1
-
     def test_json_shape(self, shared_setup, registry):
-        _, ctx1, ctx2, shared = shared_setup
+        _, ctx1, _, shared = shared_setup
         phi = construct_state({ctx1.id: 2}, registry)
         phi.add_stable_record(shared, 7.0)
-        d = phi.to_json_dict()
-        assert d["layers"] == [(ctx1.id, 2)]
-        assert len(d["stable_records"]) == 1
-        fingerprint, value = d["stable_records"][0]
-        assert value == 7.0
-        assert isinstance(fingerprint, str)
+        assert [(ctx_id, layer.index) for ctx_id, layer in phi.layers.items()] == [(ctx1.id, 2)]
+        (fingerprint, record), = phi.stable.items()
+        assert record.value == 7.0 and record.element is shared
+        assert fingerprint == record.fingerprint and isinstance(fingerprint, str)
 
 
 class TestCharacterProperties:
