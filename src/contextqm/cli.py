@@ -2,12 +2,15 @@
 
 Each command is one seeded, reproducible experiment emitting a JSON or
 CSV report; identical (command, seed, parameters) produce byte-identical
-output.  Commands exit nonzero when a hard numerical threshold is
-violated, so they compose into shell-level checks.
+output.  A command body is a function of its options that returns its
+report and a verdict; one frame, ``experiment``, renders the report,
+writes it, notes the wall time and exits nonzero when a hard numerical
+threshold is violated, so the commands compose into shell-level checks.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 
@@ -16,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor
 from .contexts import ContextRegistry, context_from_observable
-from .ensembles import born_distribution, x_polarized
+from .ensembles import born_distribution, within_band, x_polarized
 from .gns import StateFunctional, build_gns, pure_state_trials, verify_gns
 from .measurement import (
     ks_noncontextual_search,
@@ -31,10 +34,9 @@ from .oscillator import (
     fock_oracle_green,
     wick_green,
 )
-from .reports import build_envelope, render_csv, render_json, write_text
+from .reports import SCHEMA_VERSION, render_csv, render_json
 from .states import count_draws
 
-STAT_BAND = 4.0  # standard-error multiplier for statistical checks
 GNS_THRESHOLD = 1e-10
 GREEN_THRESHOLD = 1e-8
 # spin-demo's sample cap: 10**9 draws at the four default angles take about
@@ -45,34 +47,11 @@ MAX_SAMPLES = 10**9
 MAX_TRIALS = 3 * 10**5
 
 
-def _emit(doc: dict, fmt: str, out: str | None, rows: list[dict]):
-    """Write ``doc`` as JSON, or ``rows`` as CSV under the envelope fields.
-
-    An ``--out`` file that cannot be written, say in a missing directory,
-    is a one-line error with exit code 1.
-    """
-    if fmt == "json":
-        text = render_json(doc)
-    else:
-        preamble = {key: doc[key] for key in ("schema_version", "command", "seed")}
-        text = render_csv(rows, preamble)
-    try:
-        write_text(text, out)
-    except OSError as exc:
-        if out is None or out == "-":
-            raise
-        raise click.FileError(out, hint=exc.strerror or str(exc)) from exc
-
-
 def _note(text: str):
     # Not click.echo(err=True): click caches a wrapper per sys.stderr object
     # and that cache keeps alive every stream an in-process caller (tests,
     # CliRunner) swaps in, so each invocation of ``main`` would leak one.
     print(text, file=sys.stderr, flush=True)
-
-
-def _stopwatch(t0: float):
-    _note(f"wall_time_s: {time.perf_counter() - t0:.3f}")
 
 
 seed_option = click.option(
@@ -91,6 +70,52 @@ format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
     show_default=True, help="Report format.",
 )
+
+
+def experiment(run):
+    """The frame of a command whose body ``run`` returns its report.
+
+    ``run`` takes the command's own options and ``seed`` and returns
+    ``(parameters, results, rows, ok)``.  The frame adds ``--seed``,
+    ``--out`` and ``--format``; writes the report as JSON, or ``rows`` as
+    CSV under its first three fields, to stdout or ``--out``; notes the
+    wall time on stderr; and exits 1 when ``ok`` is false.  An ``--out``
+    file that cannot be written, say in a missing directory, is a one-line
+    error with exit code 1.  Apply it below the command's own options, so
+    that ``--help`` lists them ahead of the shared three.
+    """
+
+    @seed_option
+    @out_option
+    @format_option
+    @functools.wraps(run)
+    def command(seed, out, fmt, **options):
+        t0 = time.perf_counter()
+        parameters, results, rows, ok = run(seed=seed, **options)
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": click.get_current_context().command.name,
+            "seed": seed,
+            "parameters": parameters,
+            "results": results,
+        }
+        if fmt == "json":
+            text = render_json(doc)
+        else:
+            text = render_csv(rows, dict(list(doc.items())[:3]))
+        if out is None or out == "-":
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise click.FileError(out, hint=exc.strerror or str(exc)) from exc
+        _note(f"wall_time_s: {time.perf_counter() - t0:.3f}")
+        if not ok:
+            sys.exit(1)
+
+    return command
 
 
 @click.group()
@@ -118,10 +143,8 @@ def main():
     default=100_000,
     show_default=True,
 )
-@seed_option
-@out_option
-@format_option
-def spin_demo(thetas, sample_count, seed, out, fmt):
+@experiment
+def spin_demo(thetas, sample_count, seed):
     """Born statistics for a spin-1/2 state polarized along x.
 
     For each angle, draws outcomes of the spin component along the tilted
@@ -129,7 +152,6 @@ def spin_demo(thetas, sample_count, seed, out, fmt):
     cos(theta/2)^2.  Exits nonzero if any angle falls outside the
     4-standard-error band.
     """
-    t0 = time.perf_counter()
     for theta in thetas:
         if not 0.0 <= theta <= 2.0 * np.pi:
             raise click.BadParameter(f"theta {theta} outside [0, 2*pi]")
@@ -149,9 +171,7 @@ def spin_demo(thetas, sample_count, seed, out, fmt):
         counts = count_draws(probs / probs.sum(), rng, sample_count)
         frequency = float(counts[plus_index] / sample_count)
         se = float(np.sqrt(max(frequency * (1 - frequency), 0.0) / sample_count))
-        deviation = abs(frequency - exact)
-        band = STAT_BAND * se
-        ok = deviation <= band if se > 0 else deviation == 0.0
+        ok = within_band(abs(frequency - exact), se)
         violations += 0 if ok else 1
         angle_rows.append(
             {
@@ -162,16 +182,8 @@ def spin_demo(thetas, sample_count, seed, out, fmt):
                 "within_band": bool(ok),
             }
         )
-    doc = build_envelope(
-        "spin-demo",
-        seed,
-        {"samples": sample_count, "thetas": [float(t) for t in thetas]},
-        {"angles": angle_rows, "violations": violations},
-    )
-    _emit(doc, fmt, out, angle_rows)
-    _stopwatch(t0)
-    if violations:
-        sys.exit(1)
+    parameters = {"samples": sample_count, "thetas": [float(t) for t in thetas]}
+    return parameters, {"angles": angle_rows, "violations": violations}, angle_rows, not violations
 
 
 @main.command("ks-search")
@@ -187,17 +199,14 @@ def spin_demo(thetas, sample_count, seed, out, fmt):
     show_default=True,
     help="Also forbid two orthogonal rays from both taking value 0.",
 )
-@seed_option
-@out_option
-@format_option
-def ks_search(ray_file, pair_rule, seed, out, fmt):
+@experiment
+def ks_search(ray_file, pair_rule, seed):
     """Exhaustive search for a noncontextual {0,1} assignment on a ray set.
 
     Prints the assignment when one exists, or the proof-of-exhaustion
     marker (UNSAT) with the node count.  The bundled default is the
     33-ray set on which the search provably exhausts.
     """
-    t0 = time.perf_counter()
     try:  # the bundled set is checksum-verified, so only a user file can fail here
         rays = peres33_rays() if ray_file is None else load_ray_csv(ray_file)
     except ValueError as exc:
@@ -206,12 +215,7 @@ def ks_search(ray_file, pair_rule, seed, out, fmt):
         result = ks_noncontextual_search(rays, pair_rule=pair_rule)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    doc = build_envelope(
-        "ks-search",
-        seed,
-        {"ray_file": ray_file or "bundled:peres33", "pair_rule": pair_rule},
-        result.to_json_dict(),
-    )
+    parameters = {"ray_file": ray_file or "bundled:peres33", "pair_rule": pair_rule}
     row = {
         "status": "SAT" if result.satisfiable else "UNSAT",
         "nodes": result.nodes,
@@ -219,8 +223,7 @@ def ks_search(ray_file, pair_rule, seed, out, fmt):
         "triad_count": result.triad_count,
         "pair_count": result.pair_count,
     }
-    _emit(doc, fmt, out, [row])
-    _stopwatch(t0)
+    return parameters, result.to_json_dict(), [row], True
 
 
 @main.command("green")
@@ -240,17 +243,14 @@ def ks_search(ray_file, pair_rule, seed, out, fmt):
     default=None,
     help=f"Truncation size (default n+6, at most {MAX_FOCK_CUTOFF}).",
 )
-@seed_option
-@out_option
-@format_option
-def green(order, omega, times, cutoff, seed, out, fmt):
+@experiment
+def green(order, omega, times, cutoff, seed):
     """Time-ordered n-point function along both routes, with their gap.
 
     Emits the pairing-expansion value, the truncated-matrix value, and
     the absolute difference; exits nonzero when the routes disagree
     beyond 1e-8.  Odd orders are identically zero.
     """
-    t0 = time.perf_counter()
     if times is not None:
         try:
             time_list = [float(part) for part in times.split(",") if part.strip()]
@@ -276,21 +276,17 @@ def green(order, omega, times, cutoff, seed, out, fmt):
             param_hint="'--omega' / '--times'",
         )
     difference = abs(wick - fock)
-    doc = build_envelope(
-        "green",
-        seed,
-        {
-            "n": order,
-            "omega": omega,
-            "times": time_list,
-            "cutoff": cutoff if cutoff is not None else order + FOCK_MARGIN,
-        },
-        {
-            "wick": {"re": wick.real, "im": wick.imag},
-            "fock": {"re": fock.real, "im": fock.imag},
-            "abs_difference": difference,
-        },
-    )
+    parameters = {
+        "n": order,
+        "omega": omega,
+        "times": time_list,
+        "cutoff": cutoff if cutoff is not None else order + FOCK_MARGIN,
+    }
+    results = {
+        "wick": {"re": wick.real, "im": wick.imag},
+        "fock": {"re": fock.real, "im": fock.imag},
+        "abs_difference": difference,
+    }
     row = {
         "times": ";".join(repr(t) for t in time_list),
         "wick_re": wick.real,
@@ -299,19 +295,14 @@ def green(order, omega, times, cutoff, seed, out, fmt):
         "fock_im": fock.imag,
         "abs_difference": difference,
     }
-    _emit(doc, fmt, out, [row])
-    _stopwatch(t0)
-    if not difference <= GREEN_THRESHOLD:  # a NaN gap fails too
-        sys.exit(1)
+    return parameters, results, [row], difference <= GREEN_THRESHOLD  # a NaN gap fails too
 
 
 @main.command("gns-check")
 @click.option("--n", "dimension", type=click.IntRange(2, 6), default=3, show_default=True)
 @click.option("--trials", type=click.IntRange(0, MAX_TRIALS), default=100, show_default=True)
-@seed_option
-@out_option
-@format_option
-def gns_check(dimension, trials, seed, out, fmt):
+@experiment
+def gns_check(dimension, trials, seed):
     """Representation health check over random states and elements.
 
     For random unit vectors, verifies that the cyclic-vector expectation
@@ -320,7 +311,6 @@ def gns_check(dimension, trials, seed, out, fmt):
     homomorphism, adjoint and expectation identities.  Reports the worst
     residuals and exits nonzero when any exceeds 1e-10 or a rank is off.
     """
-    t0 = time.perf_counter()
     if trials == 0:
         _note("warning: --trials 0 is a vacuous pass")
     algebra = AlgebraDescriptor(dimension)
@@ -337,21 +327,16 @@ def gns_check(dimension, trials, seed, out, fmt):
         summary = verify_gns(tracial, min(trials, 20), rng)
         residuals += [v for k, v in summary.items() if k.endswith("_residual")]
     ok = bool(rank_ok and all(r <= GNS_THRESHOLD for r in residuals))
-    doc = build_envelope(
-        "gns-check",
-        seed,
-        {"n": dimension, "trials": trials},
-        {
-            "expectation_residual": expectation_residual,
-            "compression_residual": compression_residual,
-            "pure_rank_expected": dimension,
-            "tracial_rank": tracial_rank,
-            "rank_ok": bool(rank_ok),
-            "tracial_summary": summary,
-            "threshold": GNS_THRESHOLD,
-            "ok": ok,
-        },
-    )
+    results = {
+        "expectation_residual": expectation_residual,
+        "compression_residual": compression_residual,
+        "pure_rank_expected": dimension,
+        "tracial_rank": tracial_rank,
+        "rank_ok": bool(rank_ok),
+        "tracial_summary": summary,
+        "threshold": GNS_THRESHOLD,
+        "ok": ok,
+    }
     row = {
         "n": dimension,
         "trials": trials,
@@ -360,10 +345,7 @@ def gns_check(dimension, trials, seed, out, fmt):
         "tracial_rank": tracial_rank,
         "ok": ok,
     }
-    _emit(doc, fmt, out, [row])
-    _stopwatch(t0)
-    if not ok:
-        sys.exit(1)
+    return {"n": dimension, "trials": trials}, results, [row], ok
 
 
 if __name__ == "__main__":

@@ -28,8 +28,17 @@ __all__ = [
     "quantum_average_exact",
     "linearity_residual",
     "instrument_independence_report",
+    "within_band",
     "x_polarized",
 ]
+
+STAT_BAND = 4.0  # standard errors a statistical check may miss by
+
+
+def within_band(deviation: float, se: float) -> bool:
+    """``deviation`` within ``STAT_BAND`` standard errors ``se``; a zero
+    standard error leaves no spread, so only a zero deviation passes."""
+    return deviation <= STAT_BAND * se if se > 0 else deviation == 0.0
 
 
 class QuantumState:
@@ -118,10 +127,15 @@ class EnsembleReport:
 # ---------------------------------------------------------------------------
 
 
+def _same_algebra(psi: QuantumState, ctx: Context):
+    # identity settles the common case without the slower dataclass comparison
+    if ctx.algebra is not psi.algebra and ctx.algebra != psi.algebra:
+        raise ValueError(f"context {ctx.id} belongs to a different algebra than the state")
+
+
 def born_distribution(psi: QuantumState, ctx: Context) -> np.ndarray:
     """Probabilities |<e_k, tau>|^2 of the context's character indices."""
-    if ctx.dimension != psi.algebra.dimension:
-        raise ValueError("state and context dimensions differ")
+    _same_algebra(psi, ctx)
     amplitudes = ctx.basis.conj().T @ psi.vector
     return np.abs(amplitudes) ** 2
 
@@ -133,8 +147,12 @@ def sample_elementary_state(psi: QuantumState, contexts, rng) -> ElementaryState
     contexts will be drawn lazily from the same attached vector.  When
     the state has a home context, its layer is drawn first and the basis
     projectors of the home context become stable records, so any other
-    context containing them is conditioned accordingly.
+    context containing them is conditioned accordingly.  A context of
+    another algebra than the state's raises ``ValueError`` before any draw.
     """
+    contexts = tuple(contexts)
+    for ctx in contexts:
+        _same_algebra(psi, ctx)
     phi = ElementaryState(rng=rng, attached_vector=psi.vector)
     if psi.home_context is not None:
         home = psi.home_context
@@ -260,7 +278,7 @@ def instrument_independence_report(
             np.sqrt(max(pooled * (1 - pooled), 0.0) * (2.0 / sample_count))
         )
         diff = abs(f1 - f2)
-        band = 4.0 * pooled_se
+        band = STAT_BAND * pooled_se
         # degenerate thresholds (pooled 0 or 1) have zero variance and must
         # agree exactly
         ratio = diff / band if band > 0 else (0.0 if diff == 0 else np.inf)
@@ -273,7 +291,7 @@ def instrument_independence_report(
                 "empirical_cdf_2": f2,
                 "exact_cdf": exact1[i],
                 "pooled_se": pooled_se,
-                "within_band": bool(diff <= band) if band > 0 else diff == 0.0,
+                "within_band": within_band(diff, pooled_se),
             }
         )
 

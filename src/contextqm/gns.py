@@ -10,6 +10,26 @@ diagonal blocks of rho: no Gram matrix over the matrix units is formed
 or eigensolved (``GnsSpace.gram`` builds one on request, for checks).
 The expectation in the cyclic vector reproduces Psi — the mechanism that
 turns the Born rule from an assumption into an identity.
+
+Invariants kept here:
+
+* ``StateFunctional`` judges positivity on the algebra: each diagonal
+  block of rho is eigensolved once, so a density matrix that is
+  indefinite only off the blocks is accepted, and NaN or infinite
+  matrices and vectors are rejected.  The kept factors W_b, with
+  W_b W_b* = rho_b, are all ``build_gns`` reads: it runs no eigensolve.
+* The class of R is vec(R W) and the representation of S is S (x) I, block
+  by block; seminorm ideals are the null spaces of the summed density
+  matrices.
+* ``pure_state_trials`` (``gns-check``'s random pure-state trials) runs as
+  stacked batches of at most ``TRIAL_CHUNK`` trials.  Its residuals and
+  the generator's state afterwards are bit for bit those of the per-trial
+  loop over ``StateFunctional``, ``build_gns``, ``vacuum_expectation`` and
+  ``compression_identity_check``, which stay public as that loop's oracle.
+* ``verify_gns`` (the tracial summary of ``gns-check``) runs its random
+  element pairs as stacked batches too, bit for bit the per-sample loop
+  over ``AlgebraElement``, ``class_vector``, ``represent`` and
+  ``vacuum_expectation``, which the tests keep as its oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement
+from .ensembles import QuantumState
 from .states import _unit_vector
 
 __all__ = [

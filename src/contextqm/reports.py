@@ -11,21 +11,10 @@ ray sets.
 from __future__ import annotations
 
 import json
-import sys
 
 import numpy as np
 
 SCHEMA_VERSION = 1
-
-
-def build_envelope(command: str, seed: int | None, parameters: dict, results) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "seed": seed,
-        "parameters": parameters,
-        "results": results,
-    }
 
 
 def _plain(value):
@@ -60,14 +49,6 @@ def render_csv(rows: list[dict], preamble: dict) -> str:
     for row in rows:
         lines.append(",".join(_csv_cell(cell) for cell in row.values()))
     return "\n".join(lines) + "\n"
-
-
-def write_text(text: str, out_path: str | None):
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
 
 
 def parse_float_csv(text: str, columns: int, source: str) -> tuple[np.ndarray, list[int]]:

@@ -351,6 +351,45 @@ class TestGnsCheck:
         assert results["tracial_summary"]["homomorphism_residual"] == 1e-6
 
 
+# Each subcommand's parameters in order, and the sha256 of its --help page
+# at a fixed terminal width (so COLUMNS cannot move it): the command's own
+# options come first, then --seed, --out and --format.
+HELP_PAGES = {
+    "spin-demo": (
+        ["thetas", "sample_count", "seed", "out", "fmt"],
+        "907b926162a312686149ef22d907ed1004b05319d134f735b474618b9971da1c",
+    ),
+    "ks-search": (
+        ["ray_file", "pair_rule", "seed", "out", "fmt"],
+        "d1eb3a09e382a135e73709512f801718af9ff597e067efbc7b11e97f978d13cc",
+    ),
+    "green": (
+        ["order", "omega", "times", "cutoff", "seed", "out", "fmt"],
+        "4efcd5d1ccb29d16dbb8aca713975119447f4d775eacd0709c4247bf9f90bffa",
+    ),
+    "gns-check": (
+        ["dimension", "trials", "seed", "out", "fmt"],
+        "f33e4e611c78e5fd09a3dad77472d202f1425a258cf99603ba8caf4fb872824e",
+    ),
+}
+
+
+class TestHelpPages:
+    def test_every_subcommand_is_pinned(self):
+        assert sorted(main.commands) == sorted(HELP_PAGES)
+
+    @pytest.mark.parametrize("command", sorted(HELP_PAGES))
+    def test_parameters_keep_their_order(self, command):
+        assert [p.name for p in main.commands[command].params] == HELP_PAGES[command][0]
+
+    @pytest.mark.parametrize("command", sorted(HELP_PAGES))
+    def test_help_page_is_pinned(self, runner, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        result = runner.invoke(main, [command, "--help"], terminal_width=80)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == HELP_PAGES[command][1], result.stdout
+
+
 class TestReportEnvelope:
     def test_reports_carry_invocation_metadata(self, runner):
         for args in (

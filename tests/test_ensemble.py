@@ -15,6 +15,7 @@ from contextqm.ensembles import (
     linearity_residual,
     quantum_average_exact,
     sample_elementary_state,
+    within_band,
     x_polarized,
 )
 from contextqm.measurement import (
@@ -85,6 +86,58 @@ class TestQuantumState:
         p = psi.projector
         assert np.allclose(p.matrix @ p.matrix, p.matrix, atol=1e-12)
         assert abs(np.trace(p.matrix) - 1.0) <= 1e-12
+
+
+class TestAlgebraOfTheContext:
+    """A context of another algebra of the same dimension is refused by
+    every caller that pairs it with a state."""
+
+    @pytest.fixture
+    def pair(self, registry):
+        blocks = AlgebraDescriptor(3, (1, 2))
+        element = AlgebraElement.from_diagonal([0.0, 1.0, 2.0], blocks)
+        psi = QuantumState([0, 0, 1], AlgebraDescriptor(3))
+        return psi, element, context_from_observable(element, registry)
+
+    def test_born_distribution(self, pair):
+        psi, _, ctx = pair
+        with pytest.raises(ValueError, match=f"context {ctx.id} belongs to a different algebra"):
+            born_distribution(psi, ctx)
+
+    def test_sampling_draws_nothing_first(self, pair, registry):
+        psi, _, ctx = pair
+        home = context_from_observable(
+            AlgebraElement.from_diagonal([0.0, 1.0, 2.0], psi.algebra), registry
+        )
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for contexts in ([ctx], [home, ctx]):
+            with pytest.raises(ValueError, match="belongs to a different algebra"):
+                sample_elementary_state(psi, iter(contexts), rng)
+        assert rng.bit_generator.state == state
+
+    def test_ensemble_average(self, pair):
+        psi, element, ctx = pair
+        with pytest.raises(ValueError, match="belongs to a different algebra"):
+            ensemble_average(psi, element, ctx, 10, np.random.default_rng(0))
+
+    def test_instrument_independence_report(self, pair):
+        psi, element, ctx = pair
+        with pytest.raises(ValueError, match="belongs to a different algebra"):
+            instrument_independence_report(psi, element, ctx, ctx, 10, np.random.default_rng(0))
+
+
+class TestWithinBand:
+    def test_four_standard_errors_is_the_edge(self):
+        assert within_band(0.4, 0.1)
+        assert not within_band(np.nextafter(0.4, 1.0), 0.1)
+
+    def test_zero_standard_error_admits_only_an_exact_match(self):
+        assert within_band(0.0, 0.0)
+        assert not within_band(1e-300, 0.0)
+
+    def test_a_nan_deviation_is_outside(self):
+        assert not within_band(float("nan"), 0.1)
 
 
 class TestBornDistribution:

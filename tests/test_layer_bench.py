@@ -32,7 +32,7 @@ from contextqm.oscillator import (
     functional_derivative_green,
     wick_green,
 )
-from contextqm.reports import build_envelope, render_json
+from contextqm.reports import SCHEMA_VERSION, render_json
 from contextqm.states import ElementaryState, count_draws
 from conftest import random_element, random_hermitian, random_unit_vector
 from test_gns import _per_sample_verify
@@ -244,7 +244,13 @@ def test_render_json_of_a_report(benchmark):
         {"theta": float(t), "p": np.float64(np.cos(t / 2) ** 2), "ok": np.bool_(True)}
         for t in rng.uniform(0.0, np.pi, 50)
     ]
-    doc = build_envelope("spin-demo", 7, {"samples": np.int64(100)}, {"angles": rows})
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "spin-demo",
+        "seed": 7,
+        "parameters": {"samples": np.int64(100)},
+        "results": {"angles": rows},
+    }
     text = benchmark(render_json, doc)
     assert text.endswith("}\n") and render_json(json.loads(text)) == text
     loaded = json.loads(text)

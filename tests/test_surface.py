@@ -1,15 +1,20 @@
-"""The documented surface: README examples run, and every export resolves."""
+"""The documented surface: README examples run, every export resolves with
+its annotations, and every name the benchmark traces exists."""
 
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 import contextqm
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = ["contextqm"] + [
     f"contextqm.{info.name}" for info in pkgutil.iter_modules(contextqm.__path__)
 ]
@@ -28,4 +33,60 @@ def test_readme_python_blocks_run_in_order():
 def test_every_export_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+def _annotated(name, obj):
+    """``obj`` and, for a class, each function defined in its body."""
+    yield name, obj
+    if inspect.isclass(obj):
+        for key, member in vars(obj).items():
+            member = member.fget if isinstance(member, property) else member
+            member = getattr(member, "__func__", member)
+            if inspect.isfunction(member):
+                yield f"{name}.{key}", member
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_export_resolves_its_annotations(module_name):
+    # annotations are strings (``from __future__ import annotations``), so a
+    # name missing from the module surfaces only when they are evaluated
+    module = importlib.import_module(module_name)
+    unresolved = []
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        for label, target in _annotated(name, obj):
+            try:
+                typing.get_type_hints(target)
+            except NameError as exc:
+                unresolved.append(f"{label}: {exc}")
+    assert unresolved == []
+
+
+def _perfbench_spans():
+    # loaded from its file: perfbench is not a package, and the tracer is
+    # only read here, never installed
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_traces_exists():
+    spans = _perfbench_spans()
+    missing = []
+    for _, module_name, attribute in spans.SPANNED_FUNCTIONS:
+        if not callable(getattr(importlib.import_module(module_name), attribute, None)):
+            missing.append(f"{module_name}.{attribute}")
+    for _, module_name, class_name, attribute in spans.SPANNED_METHODS:
+        cls = getattr(importlib.import_module(module_name), class_name, None)
+        if not callable(getattr(cls, attribute, None)):
+            missing.append(f"{module_name}.{class_name}.{attribute}")
+    from contextqm.cli import main
+
+    for command in spans.CLI_COMMANDS:
+        if command not in main.commands or not callable(main.commands[command].callback):
+            missing.append(f"cli {command}")
     assert missing == []
