@@ -8,66 +8,3 @@ ladder-operator Green's functions for the harmonic oscillator.
 """
 
 __version__ = "0.1.0"
-
-from .algebra import (
-    AlgebraDescriptor,
-    AlgebraElement,
-    SpectralDecomposition,
-    adjoint,
-    commutator,
-    norm,
-    spectral_decomposition,
-    spectrum,
-)
-from .contexts import (
-    Context,
-    ContextRegistry,
-    contains,
-    context_from_family,
-    context_from_observable,
-    interpolated_generator,
-)
-from .states import (
-    ElementaryState,
-    construct_stable_on,
-    construct_state,
-    evaluate,
-    is_stable,
-)
-from .measurement import (
-    Instrument,
-    ks_noncontextual_search,
-    measure,
-    peres33_rays,
-    run_sequence,
-    spin1_squared_observables,
-)
-
-__all__ = [
-    "AlgebraDescriptor",
-    "AlgebraElement",
-    "SpectralDecomposition",
-    "adjoint",
-    "commutator",
-    "norm",
-    "spectral_decomposition",
-    "spectrum",
-    "Context",
-    "ContextRegistry",
-    "contains",
-    "context_from_family",
-    "context_from_observable",
-    "interpolated_generator",
-    "ElementaryState",
-    "construct_stable_on",
-    "construct_state",
-    "evaluate",
-    "is_stable",
-    "Instrument",
-    "ks_noncontextual_search",
-    "measure",
-    "peres33_rays",
-    "run_sequence",
-    "spin1_squared_observables",
-    "__version__",
-]

@@ -88,6 +88,13 @@ class AlgebraDescriptor:
             mask[s, s] = True
         return mask
 
+    def require(self, other: "AlgebraDescriptor", what: str):
+        """The one algebra check: ``other`` must be this algebra, or
+        ``ValueError("<what> belongs to a different algebra")`` is raised."""
+        # identity settles the common case without the slower dataclass comparison
+        if other is not self and other != self:
+            raise ValueError(f"{what} belongs to a different algebra")
+
 
 def _as_matrix(data, dimension: int) -> np.ndarray:
     mat = np.array(data, dtype=np.complex128)
@@ -159,23 +166,19 @@ class AlgebraElement:
 
     # -- algebra operations ------------------------------------------------
 
-    def _check_same_algebra(self, other: "AlgebraElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements belong to different algebras")
-
     def __add__(self, other):
-        self._check_same_algebra(other)
+        self.algebra.require(other.algebra, "element")
         return AlgebraElement(self.matrix + other.matrix, self.algebra)
 
     def __sub__(self, other):
-        self._check_same_algebra(other)
+        self.algebra.require(other.algebra, "element")
         return AlgebraElement(self.matrix - other.matrix, self.algebra)
 
     def __neg__(self):
         return AlgebraElement(-self.matrix, self.algebra)
 
     def __matmul__(self, other):
-        self._check_same_algebra(other)
+        self.algebra.require(other.algebra, "element")
         return AlgebraElement(self.matrix @ other.matrix, self.algebra)
 
     def __mul__(self, other):
@@ -237,7 +240,7 @@ def adjoint(element: AlgebraElement) -> AlgebraElement:
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """[a, b] = ab - ba.  Vanishes exactly iff the elements are compatible."""
-    a._check_same_algebra(b)
+    a.algebra.require(b.algebra, "element")
     return AlgebraElement(a.matrix @ b.matrix - b.matrix @ a.matrix, a.algebra)
 
 

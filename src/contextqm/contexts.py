@@ -13,7 +13,8 @@ Invariants kept here:
   the real diagonal of B^dagger A B, or ``None`` when an off-diagonal entry
   exceeds ``DIAGONAL_TOL`` * max(1, max|A|).  Membership and the values of
   the characters are that one fact.  ``Context.diagonal_values`` applies
-  it and rejects an element of another algebra with ``ValueError``.
+  it, after ``AlgebraDescriptor.require`` (the one algebra check, which
+  also admits each family member) rejects an element of another algebra.
 * ``Context.reads`` is the one refusal of a non-member: it raises
   ``IncompatibleObservableError`` naming the context, and every caller
   that needs a member (``measure``, ``ensemble_average``,
@@ -124,9 +125,7 @@ class Context:
     def diagonal_values(self, element: AlgebraElement) -> np.ndarray | None:
         """:func:`diagonal_reads` in this basis: the characters' values, or
         None.  An element of another algebra raises ``ValueError``."""
-        # identity settles the common case without the slower dataclass comparison
-        if element.algebra is not self.algebra and element.algebra != self.algebra:
-            raise ValueError("element belongs to a different algebra")
+        self.algebra.require(element.algebra, "element")
         return diagonal_reads(self.basis, element.matrix)
 
     def reads(self, element: AlgebraElement) -> np.ndarray:
@@ -322,8 +321,7 @@ def context_from_family(family, registry: ContextRegistry) -> Context:
     algebra = family[0].algebra
     for element in family:
         _require_hermitian(element, "context_from_family")
-        if element.algebra != algebra:
-            raise ValueError("family members belong to different algebras")
+        algebra.require(element.algebra, "family member")
     # _grouped returns runs of consecutive indices: slice views, not fancy-index copies
     values, vectors = _eigh(family[0])
     subspaces = [vectors[:, g[0] : g[-1] + 1] for g in _grouped(values)]

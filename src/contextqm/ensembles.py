@@ -6,6 +6,10 @@ requested context's character index from the Born weights |<e_k, tau>|^2,
 independently per context: the model never defines — deliberately — a
 joint law across incompatible contexts, only the per-context marginals.
 Averages over samples converge to the exact functional trace(p_tau A).
+
+Every function that pairs a state with a context or an element first
+asks ``AlgebraDescriptor.require`` that both belong to the state's
+algebra, so a mismatch raises ``ValueError`` before any draw or product.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ class QuantumState:
             )
         if not np.isfinite(vec).all():
             raise ValueError("state vector has a NaN or infinite entry")
-        if home_context is not None and home_context.algebra != algebra:
-            raise ValueError(f"home context {home_context.id} belongs to a different algebra")
+        if home_context is not None:
+            algebra.require(home_context.algebra, f"home context {home_context.id}")
         length = np.linalg.norm(vec)
         if abs(length - 1.0) > 1e-6:
             raise ValueError(f"state vector is not normalized (norm {length:.3e})")
@@ -77,6 +81,7 @@ class QuantumState:
 
     def expectation(self, element: AlgebraElement) -> complex:
         """<tau, S tau> for arbitrary (not necessarily Hermitian) S."""
+        self.algebra.require(element.algebra, "element")
         return complex(np.vdot(self.vector, element.matrix @ self.vector))
 
     def __repr__(self):
@@ -127,15 +132,9 @@ class EnsembleReport:
 # ---------------------------------------------------------------------------
 
 
-def _same_algebra(psi: QuantumState, ctx: Context):
-    # identity settles the common case without the slower dataclass comparison
-    if ctx.algebra is not psi.algebra and ctx.algebra != psi.algebra:
-        raise ValueError(f"context {ctx.id} belongs to a different algebra than the state")
-
-
 def born_distribution(psi: QuantumState, ctx: Context) -> np.ndarray:
     """Probabilities |<e_k, tau>|^2 of the context's character indices."""
-    _same_algebra(psi, ctx)
+    psi.algebra.require(ctx.algebra, f"context {ctx.id}")
     amplitudes = ctx.basis.conj().T @ psi.vector
     return np.abs(amplitudes) ** 2
 
@@ -152,7 +151,7 @@ def sample_elementary_state(psi: QuantumState, contexts, rng) -> ElementaryState
     """
     contexts = tuple(contexts)
     for ctx in contexts:
-        _same_algebra(psi, ctx)
+        psi.algebra.require(ctx.algebra, f"context {ctx.id}")
     phi = ElementaryState(rng=rng, attached_vector=psi.vector)
     if psi.home_context is not None:
         home = psi.home_context
@@ -217,6 +216,7 @@ def quantum_average_exact(psi: QuantumState, element: AlgebraElement) -> float:
     trace(p_tau A), which this returns.  It coincides with <tau, A tau>
     to machine precision — both forms are exercised by the test suite.
     """
+    psi.algebra.require(element.algebra, "element")
     return float(np.real(np.trace(psi.projector.matrix @ element.matrix)))
 
 

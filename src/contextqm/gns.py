@@ -13,6 +13,10 @@ turns the Born rule from an assumption into an identity.
 
 Invariants kept here:
 
+* An element or functional of another algebra is refused, before any
+  arithmetic, by ``AlgebraDescriptor.require``: in ``StateFunctional.value``,
+  ``class_vector``, ``represent``, ``compression_identity_check`` and
+  ``seminorm_ideal``.
 * ``StateFunctional`` judges positivity on the algebra: each diagonal
   block of rho is eigensolved once, so a density matrix that is
   indefinite only off the blocks is accepted, and NaN or infinite
@@ -114,6 +118,7 @@ class StateFunctional:
         return cls(np.eye(n) / n, algebra)
 
     def value(self, element: AlgebraElement) -> complex:
+        self.algebra.require(element.algebra, "element")
         return complex(np.trace(self._rho @ element.matrix))
 
     def __repr__(self):
@@ -220,14 +225,12 @@ class GnsSpace:
     def class_vector(self, element: AlgebraElement) -> np.ndarray:
         """The r-vector of the element's equivalence class, with
         <class_vector(R), class_vector(S)> = Psi(R* S)."""
-        if element.algebra != self.algebra:
-            raise ValueError("element belongs to a different algebra")
+        self.algebra.require(element.algebra, "element")
         return self._classes(element.matrix)
 
     def represent(self, element: AlgebraElement) -> np.ndarray:
         """The GNS operator: left multiplication pushed to the quotient."""
-        if element.algebra != self.algebra:
-            raise ValueError("element belongs to a different algebra")
+        self.algebra.require(element.algebra, "element")
         return self._represent(element.matrix)
 
     def cyclic_vector(self) -> np.ndarray:
@@ -289,6 +292,7 @@ def compression_identity_check(
     Psi(S) = Psi(p S p), on random elements; the returned value is the
     worst residual of both checks.
     """
+    psi.algebra.require(element.algebra, "element")
     rng = rng if rng is not None else np.random.default_rng(0)
     n = psi.algebra.dimension
     # one (sample, re/im, n, n) draw consumes the generator exactly as
@@ -393,8 +397,8 @@ def seminorm_ideal(algebra: AlgebraDescriptor, functionals) -> dict:
     functionals = list(functionals)
     if not functionals:
         raise ValueError("empty functional family")
-    if any(f.algebra != algebra for f in functionals):
-        raise ValueError("functional is not defined on the requested algebra")
+    for f in functionals:
+        algebra.require(f.algebra, "functional")
     # Sum_k Psi_k(R* R) = sum_b trace(R_b sigma_b R_b*) with sigma = sum_k rho_k,
     # so R is null iff every row of every R_b is u* for u in null(sigma_b).
     total = sum(f._rho for f in functionals)

@@ -387,25 +387,28 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
 # ---------------------------------------------------------------------------
 
 
-def load_ray_csv(path) -> np.ndarray:
-    """Read rays from CSV lines "x,y,z"; '#' starts a comment; normalizes.
-
-    A ray listed twice, as a parallel or antiparallel row, would be two
-    variables for one projector, so it is rejected with both line numbers.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        rays, lines = parse_float_csv(handle.read(), 3, f"ray file {path}")
+def _rays(text: str, source: str) -> np.ndarray:
+    """The normalized rays of CSV ``text``.  An empty set, a zero vector and
+    a ray listed twice (a parallel or antiparallel row: two variables for one
+    projector) are rejected, naming ``source`` and a repeat's two lines."""
+    rays, lines = parse_float_csv(text, 3, source)
     if not len(rays):
-        raise ValueError("ray file contains no rays")
+        raise ValueError(f"{source} contains no rays")
     norms = np.linalg.norm(rays, axis=1)
     if norms.min() < 1e-12:
-        raise ValueError("ray file contains a zero vector")
+        raise ValueError(f"{source} contains a zero vector")
     rays = rays / norms[:, None]
     same = _gram_pairs(rays, lambda overlap: overlap >= 1.0 - SAME_RAY_TOL)
     if len(same):
         first, second = (lines[k] for k in same[0])
-        raise ValueError(f"ray file {path}, lines {first} and {second}: the same ray twice")
+        raise ValueError(f"{source}, lines {first} and {second}: the same ray twice")
     return rays
+
+
+def load_ray_csv(path) -> np.ndarray:
+    """Read rays from CSV lines "x,y,z"; '#' starts a comment; see :func:`_rays`."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _rays(handle.read(), f"ray file {path}")
 
 
 def peres33_rays() -> np.ndarray:
@@ -417,5 +420,4 @@ def peres33_rays() -> np.ndarray:
         raise RuntimeError(
             f"bundled ray file failed its checksum ({digest}); refusing to use it"
         )
-    rays, _ = parse_float_csv(raw.decode("utf-8"), 3, "bundled ray file")
-    return rays / np.linalg.norm(rays, axis=1)[:, None]
+    return _rays(raw.decode("utf-8"), "bundled ray file")

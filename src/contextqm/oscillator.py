@@ -318,6 +318,9 @@ def damped_ladder_magnitude(
         raise ValueError("ladder powers must be nonnegative")
     if k == 0 and l == 0:
         raise ValueError("k + l must be positive")
+    for name, r in (("r1", r1), ("r2", r2)):
+        if not math.isfinite(r):
+            raise ValueError(f"{name} must be finite, got {r!r}")
     if functional.algebra.dimension != cutoff:
         raise ValueError("functional is not defined on this truncation size")
     fock = FockTruncation(cutoff)

@@ -126,8 +126,10 @@ def count_draws(probs, rng, size: int) -> np.ndarray:
 
 
 def _unit_vector(vector) -> np.ndarray:
-    """The vector scaled to unit length; a zero or non-finite one is rejected."""
+    """The vector scaled to unit length; a zero, non-finite or not 1-D one is rejected."""
     vec = np.asarray(vector, dtype=np.complex128)
+    if vec.ndim != 1:
+        raise ValueError(f"vector must be 1-D, got shape {vec.shape}")
     length = np.linalg.norm(vec)
     if not 0.0 < length < np.inf:  # a NaN or inf entry makes the norm fail too
         raise ValueError("vector must be nonzero, with no NaN or infinite entry")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint
-from contextqm.ensembles import QuantumState
+from contextqm.ensembles import QuantumState, linearity_residual, quantum_average_exact
 from contextqm import gns
 from contextqm.gns import (
     RANK_CUTOFF,
@@ -64,6 +64,51 @@ class TestStateFunctional:
         for _ in range(20):
             a = random_element(3, rng)
             assert np.real(f.value(adjoint(a) @ a)) >= -1e-12
+
+
+class TestAlgebraOfTheElement:
+    """An element of another algebra is refused, before any arithmetic, by
+    every entry point that pairs it with a state or a functional."""
+
+    BLOCKS = AlgebraDescriptor(3, (1, 2))
+
+    @pytest.fixture(
+        params=[
+            AlgebraElement.from_diagonal([0.0, 1.0, 2.0], AlgebraDescriptor(3)),
+            AlgebraElement.identity(AlgebraDescriptor(2)),
+        ],
+        ids=["same-dimension", "other-dimension"],
+    )
+    def element(self, request):
+        return request.param
+
+    @pytest.fixture
+    def psi(self):
+        return QuantumState([0, 0, 1], self.BLOCKS)
+
+    def test_expectation(self, psi, element):
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            psi.expectation(element)
+
+    def test_quantum_average_exact(self, psi, element):
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            quantum_average_exact(psi, element)
+
+    def test_linearity_residual(self, psi, element):
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            linearity_residual(psi, element, element)
+
+    def test_functional_value(self, psi, element):
+        functional = StateFunctional.from_vector(psi.vector, self.BLOCKS)
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            functional.value(element)
+
+    def test_compression_identity_check_draws_nothing_first(self, psi, element):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="element belongs to a different algebra"):
+            compression_identity_check(psi, element, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestGramMatrix:

@@ -461,3 +461,13 @@ class TestNonFiniteInputRejected:
     def test_damping_and_source_samples_must_be_finite(self, call):
         with pytest.raises(ValueError, match="finite"):
             call()
+
+    @pytest.mark.parametrize("damping", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["r1", "r2"])
+    def test_ladder_damping_must_be_finite(self, name, damping):
+        rates = {"r1": 0.5, "r2": 0.5, name: damping}
+        tracial = StateFunctional.tracial(AlgebraDescriptor(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                damped_ladder_magnitude(1, 1, rates["r1"], rates["r2"], 4, tracial)

@@ -171,7 +171,13 @@ class TestLazyLayers:
 
     @pytest.mark.parametrize(
         "vector",
-        [np.zeros(3), np.array([np.nan, 1.0, 0.0]), np.array([np.inf, 0.0, 0.0])],
+        [
+            np.zeros(3),
+            np.array([np.nan, 1.0, 0.0]),
+            np.array([np.inf, 0.0, 0.0]),
+            np.eye(2),
+            np.complex128(1.0),
+        ],
     )
     def test_zero_or_non_finite_attached_vector_rejected(self, vector):
         with pytest.raises(ValueError):

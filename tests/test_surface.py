@@ -1,6 +1,8 @@
 """The documented surface: README examples run, every export resolves with
-its annotations, and every name the benchmark traces exists."""
+its annotations, every name the benchmark traces exists, and one module
+decides which algebra an input belongs to."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -90,3 +92,36 @@ def test_every_name_the_benchmark_traces_exists():
         if command not in main.commands or not callable(main.commands[command].callback):
             missing.append(f"cli {command}")
     assert missing == []
+
+
+def _names_an_algebra(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "algebra") or (
+        isinstance(node, ast.Attribute) and node.attr == "algebra"
+    )
+
+
+def _algebra_comparisons(path: Path) -> list[str]:
+    """``file:line`` of each ==, !=, is or is not with an ``algebra`` operand."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)) and (
+                _names_an_algebra(left) or _names_an_algebra(right)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_algebra_module_compares_algebras():
+    # every other module asks AlgebraDescriptor.require, so the decision
+    # and its message live in one place
+    found = [
+        hit
+        for path in sorted((ROOT / "src" / "contextqm").glob("*.py"))
+        if path.name != "algebra.py"
+        for hit in _algebra_comparisons(path)
+    ]
+    assert found == []
