@@ -42,8 +42,8 @@ GREEN_THRESHOLD = 1e-8
 # spin-demo's sample cap: 10**9 draws at the four default angles take about
 # 20 s on a 2-vCPU host, and count_draws keeps memory flat at any count
 MAX_SAMPLES = 10**9
-# gns-check's trial cap: at --n 6, 2*10**4 trials take 1.1-1.4 s on that
-# host, so 3*10**5 take about 20 s; the trials run in chunks, so memory is flat
+# gns-check's trial cap: at --n 6, 2*10**4 trials take 0.8-1.1 s on that
+# host, so 3*10**5 take about 15 s; the trials run in chunks, so memory is flat
 MAX_TRIALS = 3 * 10**5
 
 

@@ -147,13 +147,15 @@ def _block_spectra(matrix: np.ndarray, blocks):
 
 
 def _kron_identity(mat: np.ndarray, r: int) -> np.ndarray:
-    """mat (x) I_r by one broadcast product (``np.kron`` costs more here).
+    """mat (x) I_r: r copies of mat filled into the diagonal of zeros.
 
-    ``mat`` may be a stack of matrices; each item is expanded.
+    ``mat`` may be a stack of matrices; each item is expanded.  The values
+    are those of ``np.kron(mat, np.eye(r))``, which costs more here.
     """
     n = mat.shape[-1]
-    # a C-ordered product, so the reshape is a view whatever mat's layout
-    wide = np.multiply(mat[..., :, None, :, None], np.eye(r)[:, None, :], order="C")
+    wide = np.zeros(mat.shape[:-2] + (n, r, n, r), dtype=mat.dtype)
+    for i in range(r):
+        wide[..., :, i, :, i] = mat
     return wide.reshape(mat.shape[:-2] + (n * r, n * r))
 
 
@@ -256,28 +258,33 @@ def vacuum_expectation(space: GnsSpace, element: AlgebraElement) -> complex:
 def _compression_residuals(p, a, raw) -> list[float]:
     """Per-item residuals of the compression identity p A p = Psi(A) p.
 
-    ``p`` is a stack of state projectors, ``a`` a stack of elements and
-    ``raw`` a stack of sample batches, one per item.  Each item's residual is
-    the worst of the C*-norm ||p A p - Psi(A) p|| (the square root of the top
-    eigenvalue of R*R, as ``norm`` takes it) and the invariance gaps
-    |Psi(S) - Psi(p S p)| over its samples; the stacked products give the
-    bits the per-item products give.
+    ``p`` is a stack of m state projectors, ``a`` a stack of m elements and
+    ``raw`` an (m, samples, n, n) stack of sample batches, one per item.
+    Each item's residual is the worst of the C*-norm ||p A p - Psi(A) p||
+    (the square root of the top eigenvalue of R*R, as ``norm`` takes it) and
+    the invariance gaps |Psi(S) - Psi(p S p)| over its samples.  Every
+    product and trace runs over the whole stack, and each residual is bit
+    for bit the one of the per-item products and per-item trace sums.
     """
     # The sandwiched expectation is complex for non-Hermitian elements.
     value = np.trace(p @ a, axis1=1, axis2=2)
     gap = p @ a @ p - value[:, None, None] * p
     tops = np.linalg.eigvalsh(gap.conj().transpose(0, 2, 1) @ gap)[:, -1]
     norms = np.sqrt(np.maximum(tops, 0.0))
-    sandwiched = p[:, None] @ raw @ p[:, None]
-    # Psi(S) = trace(p S) against Psi(p S p); a stacked form of these sums
-    # rounds differently, so they stay per item
-    invariance = [
-        np.abs(
-            np.einsum("ij,sji->s", pk, rk) - np.einsum("ij,sji->s", pk, sk)
-        ).max(initial=0.0)
-        for pk, rk, sk in zip(p, raw, sandwiched)
-    ]
-    return [max(float(r), float(i)) for r, i in zip(norms, invariance)]
+    # p S p: the left product per sample, then one right product per item on
+    # its samples stacked as rows; a product over the stacked columns of S
+    # rounds differently
+    m, count, n = raw.shape[:3]
+    left = p[:, None] @ raw
+    sandwiched = (left.reshape(m, count * n, n) @ p).reshape(raw.shape)
+    # Psi(S) = trace(p S) against Psi(p S p), one trace sum over the items
+    # per sample slot; summing every slot in one einsum rounds differently
+    gaps = np.empty((m, count), dtype=np.complex128)
+    for s in range(count):
+        psi_s = np.einsum("kij,kji->k", p, raw[:, s])
+        gaps[:, s] = psi_s - np.einsum("kij,kji->k", p, sandwiched[:, s])
+    invariance = np.abs(gaps).max(axis=1, initial=0.0)
+    return np.maximum(norms, invariance).tolist()
 
 
 def compression_identity_check(
@@ -327,9 +334,12 @@ def pure_state_trials(algebra: AlgebraDescriptor, trials: int, rng):
     are the worst expectation residual, the worst compression residual and
     whether every GNS space had rank n.
 
-    The trials run as stacked batches of ``TRIAL_CHUNK``; every residual
-    and the generator's state afterwards are bit for bit those of looping
-    over ``QuantumState``, ``build_gns(StateFunctional...)``,
+    The trials run as stacked batches of ``TRIAL_CHUNK``, and no step of a
+    batch loops over its trials in Python: the GNS operators fill diagonals
+    (``_kron_identity``) and the compression check takes its products and
+    trace sums over the whole stack (``_compression_residuals``).  Every
+    residual and the generator's state afterwards are bit for bit those of
+    looping over ``QuantumState``, ``build_gns(StateFunctional...)``,
     ``vacuum_expectation`` and ``compression_identity_check`` trial by trial.
     """
     if not algebra.is_full:
@@ -364,12 +374,11 @@ def pure_state_trials(algebra: AlgebraDescriptor, trials: int, rng):
             image = _kron_identity(element[rows], k) @ cyclic[:, :, None]
             vacuum[rows] = (cyclic.conj()[:, None, :] @ image)[:, 0, 0]
         value = np.trace(rho @ element, axis1=1, axis2=2)
-        for gap in (vacuum - value).tolist():
-            expectation = max(expectation, abs(gap))
+        # a Python abs of Python complex values gives the per-trial bits
+        expectation = max(expectation, *map(abs, (vacuum - value).tolist()))
         hermitian = 0.5 * (element + element.conj().transpose(0, 2, 1))
         p = state[:, :, None] * state.conj()[:, None, :]
-        for residual in _compression_residuals(p, hermitian, samples):
-            compression = max(compression, residual)
+        compression = max(compression, *_compression_residuals(p, hermitian, samples))
     return expectation, compression, rank_ok
 
 

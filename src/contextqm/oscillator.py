@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraDescriptor, AlgebraElement
 from .gns import StateFunctional
 
 __all__ = [
@@ -312,7 +312,8 @@ def damped_ladder_magnitude(
     The damping factors suppress the ladder words by exp(-r1 k - r2 l)
     up to a cutoff-dependent constant; the decay is what lets weak limits
     of damped words vanish level by level.  k = l = 0 is excluded — there
-    is nothing to suppress.
+    is nothing to suppress, and a functional of any algebra but the full
+    cutoff x cutoff truncation is refused.
     """
     if k < 0 or l < 0:
         raise ValueError("ladder powers must be nonnegative")
@@ -321,8 +322,7 @@ def damped_ladder_magnitude(
     for name, r in (("r1", r1), ("r2", r2)):
         if not math.isfinite(r):
             raise ValueError(f"{name} must be finite, got {r!r}")
-    if functional.algebra.dimension != cutoff:
-        raise ValueError("functional is not defined on this truncation size")
+    AlgebraDescriptor(cutoff).require(functional.algebra, "functional")
     fock = FockTruncation(cutoff)
     damp1 = np.diag(np.exp(-r1 * np.arange(cutoff, dtype=float)))
     damp2 = np.diag(np.exp(-r2 * np.arange(cutoff, dtype=float)))

@@ -11,6 +11,7 @@ ray sets.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def parse_float_csv(text: str, columns: int, source: str) -> tuple[np.ndarray, l
             row = [float(part) for part in fields.split(",")]
         except ValueError:
             row = []
-        if len(row) != columns or not np.isfinite(row).all():
+        if len(row) != columns or not all(map(math.isfinite, row)):
             raise ValueError(
                 f"{source}, line {number}: expected {columns} finite numbers: {fields!r}"
             )

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint
 from contextqm.ensembles import QuantumState, linearity_residual, quantum_average_exact
@@ -653,3 +653,81 @@ class TestStackedPureStateTrials:
     def test_block_algebra_rejected(self, rng):
         with pytest.raises(ValueError, match="full"):
             pure_state_trials(AlgebraDescriptor(3, (1, 2)), 5, rng)
+
+
+def _per_item_compression_residuals(p, a, raw):
+    """Reference for ``gns._compression_residuals``: every item on its own.
+
+    The compression gap, its norm and the sandwiches p S p are formed item
+    by item, and each invariance gap is a per-item trace sum over the
+    item's samples.
+    """
+    residuals = []
+    for pk, ak, rk in zip(p, a, raw):
+        gap = pk @ ak @ pk - np.trace(pk @ ak) * pk
+        top = np.linalg.eigvalsh(gap.conj().T @ gap)[-1]
+        sandwiched = pk @ rk @ pk
+        invariance = np.abs(
+            np.einsum("ij,sji->s", pk, rk) - np.einsum("ij,sji->s", pk, sandwiched)
+        ).max(initial=0.0)
+        residuals.append(max(float(np.sqrt(max(top, 0.0))), float(invariance)))
+    return residuals
+
+
+class TestStackedCompressionResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        m=st.integers(1, TRIAL_CHUNK + 1),
+        samples=st.sampled_from([0, 1, gns.COMPRESSION_SAMPLES]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one item is compression_identity_check's shape, and TRIAL_CHUNK + 1
+    # items one more than pure_state_trials ever stacks
+    @example(n=3, m=1, samples=gns.COMPRESSION_SAMPLES, seed=0)
+    @example(n=6, m=TRIAL_CHUNK + 1, samples=gns.COMPRESSION_SAMPLES, seed=1)
+    def test_equals_the_per_item_sums(self, n, m, samples, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        p = vectors[:, :, None] * vectors.conj()[:, None, :]
+        a = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+        a = 0.5 * (a + a.conj().transpose(0, 2, 1))
+        draws = rng.normal(size=(m, samples, 2, n, n))
+        raw = draws[:, :, 0] + 1j * draws[:, :, 1]
+        assert gns._compression_residuals(p, a, raw) == _per_item_compression_residuals(
+            p, a, raw
+        )
+
+
+class TestKronIdentity:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_items_equal_numpy_kron(self, r, rng):
+        single = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        assert np.array_equal(gns._kron_identity(single, r), np.kron(single, np.eye(r)))
+        for shape in ((5, 4, 4), (2, 3, 2, 2)):
+            stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            wide = gns._kron_identity(stack, r)
+            assert wide.shape == shape[:-2] + (shape[-1] * r, shape[-1] * r)
+            for index in np.ndindex(shape[:-2]):
+                assert np.array_equal(wide[index], np.kron(stack[index], np.eye(r)))
+
+    def test_block_representation_is_the_block_diagonal_of_krons(self, rng):
+        from scipy.linalg import block_diag
+
+        algebra = AlgebraDescriptor(6, (1, 2, 3))
+        vector = random_unit_vector(6, rng)
+        # the tracial state has full rank in each block, a pure one rank 1
+        for functional, ranks in (
+            (StateFunctional.tracial(algebra), (1, 2, 3)),
+            (StateFunctional.from_vector(vector, algebra), (1, 1, 1)),
+        ):
+            space = build_gns(functional)
+            element = random_element(6, rng, algebra)
+            expected = block_diag(
+                *[
+                    np.kron(element.matrix[b, b], np.eye(r))
+                    for b, r in zip(algebra.block_slices(), ranks)
+                ]
+            )
+            assert np.array_equal(space.represent(element), expected)

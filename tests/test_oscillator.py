@@ -259,6 +259,15 @@ class TestDampedLadder:
         with pytest.raises(ValueError):
             damped_ladder_magnitude(1, 1, 1.0, 1.0, 10, tr)
 
+    @pytest.mark.parametrize(
+        "blocks, k, l", [((2, 2), 1, 0), ((1, 1, 1, 1), 1, 1)], ids=["blocks", "diagonal"]
+    )
+    def test_functional_of_a_block_algebra_rejected(self, blocks, k, l):
+        # right size, wrong algebra: the word is not an element of it
+        tr = StateFunctional.tracial(AlgebraDescriptor(4, blocks))
+        with pytest.raises(ValueError, match="functional belongs to a different algebra"):
+            damped_ladder_magnitude(k, l, 1.0, 1.0, 4, tr)
+
 
 class TestTimeGrid:
     def test_nodes_and_weights(self):
