@@ -383,7 +383,8 @@ def element_fingerprint(element: AlgebraElement) -> str:
     if element._fp is not None:
         return element._fp
     mat = element.matrix
-    rounded = np.round(mat.real, 9) + 1j * np.round(mat.imag, 9)
+    # one rounding over the interleaved real and imaginary parts (the view needs C order)
+    rounded = np.round(np.ascontiguousarray(mat).view(np.float64), 9)
     rounded += 0.0  # normalize -0.0 to +0.0 so the byte stream is canonical
     digest = hashlib.sha1()
     digest.update(str(mat.shape[0]).encode())
@@ -392,6 +393,6 @@ def element_fingerprint(element: AlgebraElement) -> str:
         # the stable records and reports keyed on them) keep their bytes
         sizes = ",".join(str(size) for size in element.algebra.block_sizes)
         digest.update(f"blocks:{sizes};".encode())
-    digest.update(np.ascontiguousarray(rounded).tobytes())
+    digest.update(rounded.tobytes())
     element._fp = digest.hexdigest()
     return element._fp

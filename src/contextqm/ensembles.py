@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint, spectrum
 from .contexts import Context
-from .states import ElementaryState, agreeing, draw_indices
+from .states import ElementaryState, agreeing, born_weights, count_draws, draw_indices
 
 __all__ = [
     "QuantumState",
@@ -135,8 +135,7 @@ class EnsembleReport:
 def born_distribution(psi: QuantumState, ctx: Context) -> np.ndarray:
     """Probabilities |<e_k, tau>|^2 of the context's character indices."""
     psi.algebra.require(ctx.algebra, f"context {ctx.id}")
-    amplitudes = ctx.basis.conj().T @ psi.vector
-    return np.abs(amplitudes) ** 2
+    return born_weights(ctx.basis, psi.vector)
 
 
 def sample_elementary_state(psi: QuantumState, contexts, rng) -> ElementaryState:
@@ -247,7 +246,8 @@ def instrument_independence_report(
     computed from the Born weights (they agree identically, being sums of
     the same eigenprojector expectations); the empirical cumulative
     distributions at every spectrum threshold are compared against the
-    4-pooled-standard-error band.
+    4-pooled-standard-error band.  The draws are tallied per index by ``count_draws``,
+    so memory stays flat in ``sample_count``; a threshold sums its indices' tallies.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -255,24 +255,16 @@ def instrument_independence_report(
     reads = [ctx.reads(element) for ctx in contexts]
     points = sorted(spectrum(element))
     probs = [born_distribution(psi, ctx) for ctx in contexts]
-
-    def at_or_below(r, point):  # reads counted at a CDF threshold
-        return (r <= point) | agreeing(r, point)
-
-    exact1, exact2 = (
-        [float(p[at_or_below(r, point)].sum()) for point in points]
-        for p, r in zip(probs, reads)
-    )
-    values1, values2 = (
-        r[draw_indices(p / p.sum(), rng, sample_count)] for p, r in zip(probs, reads)
-    )
+    counts = [count_draws(p / p.sum(), rng, sample_count) for p in probs]
 
     thresholds = []
     max_exact_diff = 0.0
     worst_band_ratio = 0.0
-    for i, point in enumerate(points):
-        f1 = float(np.mean(at_or_below(values1, point)))
-        f2 = float(np.mean(at_or_below(values2, point)))
+    for point in points:
+        # the indices whose reads count at this CDF threshold
+        below = [(r <= point) | agreeing(r, point) for r in reads]
+        exact1, exact2 = (float(p[b].sum()) for p, b in zip(probs, below))
+        f1, f2 = (int(c[b].sum()) / sample_count for c, b in zip(counts, below))
         pooled = (f1 * sample_count + f2 * sample_count) / (2 * sample_count)
         pooled_se = float(
             np.sqrt(max(pooled * (1 - pooled), 0.0) * (2.0 / sample_count))
@@ -283,13 +275,13 @@ def instrument_independence_report(
         # agree exactly
         ratio = diff / band if band > 0 else (0.0 if diff == 0 else np.inf)
         worst_band_ratio = max(worst_band_ratio, ratio)
-        max_exact_diff = max(max_exact_diff, abs(exact1[i] - exact2[i]))
+        max_exact_diff = max(max_exact_diff, abs(exact1 - exact2))
         thresholds.append(
             {
                 "threshold": float(point),
                 "empirical_cdf_1": f1,
                 "empirical_cdf_2": f2,
-                "exact_cdf": exact1[i],
+                "exact_cdf": exact1,
                 "pooled_se": pooled_se,
                 "within_band": within_band(diff, pooled_se),
             }

@@ -20,6 +20,8 @@ Invariants kept here:
   is not the context's dimension.
 * Layers are keyed by context id, unique only within one registry, so a
   context from another registry than a stored layer's is rejected.
+* ``born_weights`` is the one Born rule: every |B^dagger v|^2 of a
+  context's basis B, for lazy layers, ensembles and overlap components.
 * ``draw_indices`` is the one Born sampler: inverse CDF, bit for bit
   ``Generator.choice(n, size, p=...)`` with its checks on ``p``, and the
   generator left in the same state.  ``count_draws`` gives the per-index
@@ -47,6 +49,7 @@ __all__ = [
     "construct_stable_on",
     "is_stable",
     "check_character_properties",
+    "born_weights",
     "draw_indices",
     "count_draws",
 ]
@@ -61,6 +64,11 @@ DRAW_CHUNK = 1 << 16  # uniforms per batch in count_draws, so memory stays flat
 def agreeing(reads: np.ndarray, value: float) -> np.ndarray:
     """Mask of the context reads that agree with ``value`` to ``STABILITY_TOL``."""
     return np.abs(reads - value) <= STABILITY_TOL * max(1.0, abs(value))
+
+
+def born_weights(basis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Born weights |<e_k, v>|^2 of the basis columns e_k, for a vector or a matrix of them."""
+    return np.abs(basis.conj().T @ vectors) ** 2
 
 
 def _cdf(probs) -> list[float]:
@@ -230,8 +238,7 @@ class ElementaryState:
                 "with the state's stable records"
             )
         if vector is not None:
-            amplitudes = ctx.basis.conj().T @ vector
-            weights = np.abs(amplitudes[admissible]) ** 2
+            weights = born_weights(ctx.basis, vector)[admissible]
             total = weights.sum()
             if total <= 1e-30:
                 raise ValueError(
@@ -307,7 +314,7 @@ def _overlap_component(ctx: Context, other: Context, index: int) -> np.ndarray:
     the joint eigenspaces of all shared observables.  Stability forces the
     other context's index into the component of the seed index.
     """
-    edge = np.abs(ctx.basis.conj().T @ other.basis) ** 2 > 1e-12
+    edge = born_weights(ctx.basis, other.basis) > 1e-12
     reached = np.arange(edge.shape[0]) == index
     while True:
         right = edge[reached].any(axis=0)

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contextqm import algebra
 from contextqm.algebra import (
@@ -25,6 +27,21 @@ from conftest import random_element, random_hermitian
 
 def _rng_from_seed(seed):
     return np.random.default_rng(seed)
+
+
+def _two_rounding_fingerprint(element):
+    """The fingerprint formed with the real and imaginary parts rounded
+    apart and rejoined into a complex array."""
+    mat = element.matrix
+    rounded = np.round(mat.real, 9) + 1j * np.round(mat.imag, 9)
+    rounded += 0.0
+    digest = hashlib.sha1()
+    digest.update(str(mat.shape[0]).encode())
+    if not element.algebra.is_full:
+        sizes = ",".join(str(size) for size in element.algebra.block_sizes)
+        digest.update(f"blocks:{sizes};".encode())
+    digest.update(np.ascontiguousarray(rounded).tobytes())
+    return digest.hexdigest()
 
 
 class TestDescriptor:
@@ -394,3 +411,30 @@ class TestSerialization:
             assert element_fingerprint(element) is kept
             fresh = AlgebraElement(element.matrix.copy(), alg)
             assert element_fingerprint(fresh) == kept
+
+    @settings(max_examples=150, deadline=None)
+    @example(blocks=(3,), seed=0, transposed=True, tiny=True)
+    @example(blocks=(1, 2, 1), seed=1, transposed=True, tiny=False)
+    @given(
+        blocks=st.one_of(
+            st.integers(1, 6).map(lambda n: (n,)),
+            st.lists(st.integers(1, 3), min_size=2, max_size=4).map(tuple),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        transposed=st.booleans(),
+        tiny=st.booleans(),
+    )
+    def test_one_rounding_equals_two(self, blocks, seed, transposed, tiny):
+        # F-ordered matrices (a transposed input keeps its layout), signed
+        # zeros, and entries scaled so far down that they round to -0.0
+        rng = _rng_from_seed(seed)
+        alg = AlgebraDescriptor(sum(blocks), blocks)
+        raw = random_element(alg.dimension, rng, alg).matrix.copy()
+        if tiny:
+            raw[rng.random(raw.shape) < 0.5] *= 1e-10
+        raw.real[rng.random(raw.shape) < 0.2] = -0.0
+        raw.imag[rng.random(raw.shape) < 0.2] = -0.0
+        element = AlgebraElement(raw.T if transposed else raw, alg)
+        if transposed and alg.dimension > 1:
+            assert not element.matrix.flags.c_contiguous
+        assert element_fingerprint(element) == _two_rounding_fingerprint(element)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint, spectrum
 from contextqm.contexts import (
@@ -7,7 +10,9 @@ from contextqm.contexts import (
     context_from_family,
     context_from_observable,
 )
+from contextqm import ensembles, states
 from contextqm.ensembles import (
+    STAT_BAND,
     QuantumState,
     born_distribution,
     ensemble_average,
@@ -24,7 +29,13 @@ from contextqm.measurement import (
     spin1_squared_observables,
     spin_axis_observable,
 )
-from contextqm.states import agreeing, is_stable
+from contextqm.states import (
+    DRAW_CHUNK,
+    ElementaryState,
+    agreeing,
+    construct_stable_on,
+    is_stable,
+)
 from conftest import ChoiceSpy, random_hermitian, random_unit_vector
 
 
@@ -46,6 +57,80 @@ def _x_shared_spin1_contexts(registry, phi_angle=0.7):
     c1 = context_from_family(base, registry)
     c2 = context_from_family(rotated, registry)
     return base[0], c1, c2
+
+
+def _random_unitary(n, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _shared_pair(n, rng, registry, scale):
+    """An observable with repeated eigenvalues and two maximal contexts
+    containing it, whose bases differ inside each of its eigenspaces."""
+    values = scale * rng.integers(-1, max(2, n - 1), size=n).astype(float)
+    frame = _random_unitary(n, rng)
+    turned = frame.copy()
+    for value in np.unique(values):
+        block = np.flatnonzero(values == value)
+        turned[:, block] = frame[:, block] @ _random_unitary(block.size, rng)
+    algebra = AlgebraDescriptor(n)
+    shared = AlgebraElement((frame * values) @ frame.conj().T, algebra)
+    generic = np.arange(n) + 0.5
+    contexts = [
+        context_from_observable(AlgebraElement((b * generic) @ b.conj().T, algebra), registry)
+        for b in (frame, turned)
+    ]
+    return shared, frame, contexts
+
+
+def _index_array_report(psi, element, ctx1, ctx2, sample_count, rng):
+    """The instrument-independence report formed per sample: every draw's
+    index (by ``Generator.choice``) and read are kept, and a threshold's
+    empirical CDF is the mean of a per-sample mask."""
+    reads = [ctx.reads(element) for ctx in (ctx1, ctx2)]
+    points = sorted(spectrum(element))
+    probs = [born_distribution(psi, ctx) for ctx in (ctx1, ctx2)]
+
+    def at_or_below(r, point):
+        return (r <= point) | agreeing(r, point)
+
+    exact = [
+        [float(p[at_or_below(r, point)].sum()) for point in points]
+        for p, r in zip(probs, reads)
+    ]
+    values = [
+        r[rng.choice(len(p), sample_count, p=p / p.sum())] for p, r in zip(probs, reads)
+    ]
+    thresholds = []
+    max_exact_diff = worst_band_ratio = 0.0
+    for i, point in enumerate(points):
+        f1, f2 = (float(np.mean(at_or_below(v, point))) for v in values)
+        pooled = (f1 * sample_count + f2 * sample_count) / (2 * sample_count)
+        pooled_se = float(np.sqrt(max(pooled * (1 - pooled), 0.0) * (2.0 / sample_count)))
+        diff = abs(f1 - f2)
+        band = STAT_BAND * pooled_se
+        ratio = diff / band if band > 0 else (0.0 if diff == 0 else np.inf)
+        worst_band_ratio = max(worst_band_ratio, ratio)
+        max_exact_diff = max(max_exact_diff, abs(exact[0][i] - exact[1][i]))
+        thresholds.append(
+            {
+                "threshold": float(point),
+                "empirical_cdf_1": f1,
+                "empirical_cdf_2": f2,
+                "exact_cdf": exact[0][i],
+                "pooled_se": pooled_se,
+                "within_band": within_band(diff, pooled_se),
+            }
+        )
+    return {
+        "context_1": ctx1.id,
+        "context_2": ctx2.id,
+        "sample_count": sample_count,
+        "thresholds": thresholds,
+        "max_exact_marginal_diff": max_exact_diff,
+        "worst_band_ratio": float(worst_band_ratio),
+        "ok": bool(max_exact_diff <= 1e-12 and worst_band_ratio <= 1.0),
+    }
 
 
 class TestQuantumState:
@@ -399,6 +484,51 @@ class TestInstrumentIndependence:
         )
         assert rep_a == rep_b
 
+    @settings(max_examples=80, deadline=None)
+    @example(n=3, seed=0, scale=1.0, eigenvector=False, same=False, sample_count=DRAW_CHUNK + 1)
+    @example(n=2, seed=1, scale=1e8, eigenvector=True, same=False, sample_count=70_000)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, -3.0, 1e8]),
+        eigenvector=st.booleans(),
+        same=st.booleans(),
+        sample_count=st.one_of(
+            st.integers(1, 600), st.sampled_from([DRAW_CHUNK - 1, DRAW_CHUNK, 70_000])
+        ),
+    )
+    def test_per_index_tally_equals_the_per_sample_report(
+        self, n, seed, scale, eigenvector, same, sample_count
+    ):
+        rng = np.random.default_rng(seed)
+        shared, frame, (c1, c2) = _shared_pair(n, rng, ContextRegistry(), scale)
+        vector = frame[:, 0] if eigenvector else random_unit_vector(n, rng)
+        psi = QuantumState(vector, shared.algebra)
+        c2 = c1 if same else c2
+        drawn, oracle = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        report = instrument_independence_report(psi, shared, c1, c2, sample_count, drawn)
+        expected = _index_array_report(psi, shared, c1, c2, sample_count, oracle)
+        assert report == expected
+        assert repr(report) == repr(expected)  # -0.0 and types too
+        assert drawn.bit_generator.state == oracle.bit_generator.state
+
+    def test_memory_is_flat_in_the_sample_count(self, registry):
+        shared, c1, c2 = _x_shared_spin1_contexts(registry)
+        psi = QuantumState(np.array([0.6, 0.0, 0.8]), shared.algebra)
+        # first-call allocations are not the draws'
+        instrument_independence_report(psi, shared, c1, c2, 10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            report = instrument_independence_report(
+                psi, shared, c1, c2, 2_000_000, np.random.default_rng(0)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["sample_count"] == 2_000_000
+        # an index and a read array per context would take 64 MB here
+        assert peak < 4 * 2**20
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sample_count", [0, -1])
     def test_sample_count_below_one_rejected(self, registry, sample_count):
@@ -412,3 +542,25 @@ class TestInstrumentIndependence:
         with pytest.raises(ValueError, match="sample_count must be at least 1"):
             instrument_independence_report(psi, shared, c1, c2, sample_count, rng)
         assert rng.bit_generator.state == drawn
+
+
+def test_born_weights_is_the_one_born_rule(registry, monkeypatch):
+    # lazy layers, Born distributions and overlap components all ask it
+    assert ensembles.born_weights is states.born_weights
+    shapes = []
+    original = states.born_weights
+
+    def spy(basis, vectors):
+        shapes.append(np.shape(vectors))
+        return original(basis, vectors)
+
+    for module in (states, ensembles):
+        monkeypatch.setattr(module, "born_weights", spy)
+    shared, c1, c2 = _x_shared_spin1_contexts(registry)
+    psi = QuantumState(np.array([0.6, 0.0, 0.8j]), shared.algebra)
+    born_distribution(psi, c1)
+    assert shapes == [(3,)]
+    ElementaryState(rng=np.random.default_rng(0), attached_vector=psi.vector).ensure_layer(c2)
+    assert shapes == [(3,), (3,)]
+    construct_stable_on(c1, 0, [c1, c2])
+    assert shapes == [(3,), (3,), (3, 3)]

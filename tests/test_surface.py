@@ -1,6 +1,7 @@
 """The documented surface: README examples run, every export resolves with
-its annotations, every name the benchmark traces exists, and one module
-decides which algebra an input belongs to."""
+its annotations, every name the benchmark traces exists, one module
+decides which algebra an input belongs to, and one helper forms the Born
+weights."""
 
 import ast
 import importlib
@@ -125,3 +126,35 @@ def test_only_the_algebra_module_compares_algebras():
         for hit in _algebra_comparisons(path)
     ]
     assert found == []
+
+
+def _squared_magnitudes(path: Path) -> list[str]:
+    """``file:function`` of each ``abs(...) ** 2``, named by the innermost
+    function that holds it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 2
+            and isinstance(node.left, ast.Call)
+            and "abs" in (getattr(node.left.func, n, None) for n in ("attr", "id"))
+        ):
+            continue
+        holders = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+        name = max(holders, key=lambda f: f.lineno).name if holders else "<module>"
+        found.append(f"{path.name}:{name}")
+    return found
+
+
+def test_only_born_weights_squares_a_magnitude():
+    # lazy layers, ensembles and overlap components share one Born rule
+    found = [
+        hit
+        for path in sorted((ROOT / "src" / "contextqm").glob("*.py"))
+        for hit in _squared_magnitudes(path)
+    ]
+    assert found == ["states.py:born_weights"]
