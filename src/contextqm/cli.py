@@ -207,14 +207,11 @@ def ks_search(ray_file, pair_rule, seed):
     marker (UNSAT) with the node count.  The bundled default is the
     33-ray set on which the search provably exhausts.
     """
-    try:  # the bundled set is checksum-verified, so only a user file can fail here
+    try:  # the bundled set is checksum-verified and has triads, so only a user file fails
         rays = peres33_rays() if ray_file is None else load_ray_csv(ray_file)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--ray-file") from exc
-    try:
         result = ks_noncontextual_search(rays, pair_rule=pair_rule)
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise click.BadParameter(str(exc), param_hint="--ray-file") from exc
     parameters = {"ray_file": ray_file or "bundled:peres33", "pair_rule": pair_rule}
     row = {
         "status": "SAT" if result.satisfiable else "UNSAT",

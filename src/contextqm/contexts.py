@@ -15,6 +15,7 @@ Invariants kept here:
   the characters are that one fact.  ``Context.diagonal_values`` applies
   it, after ``AlgebraDescriptor.require`` (the one algebra check, which
   also admits each family member) rejects an element of another algebra.
+  ``interpolated_generator`` asks it too, before it mixes its two elements.
 * ``Context.reads`` is the one refusal of a non-member: it raises
   ``IncompatibleObservableError`` naming the context, and every caller
   that needs a member (``measure``, ``ensemble_average``,
@@ -363,6 +364,7 @@ def interpolated_generator(
     continuum of generators whose contexts are generically all distinct —
     the reason context registries must be lazy.
     """
+    a1.algebra.require(a2.algebra, "element")
     _require_hermitian(a1, "interpolated_generator")
     _require_hermitian(a2, "interpolated_generator")
     return AlgebraElement(

@@ -60,11 +60,6 @@ class Instrument:
     context: Context
     label: str = ""
 
-    @property
-    def type_id(self) -> str:
-        """The context id: a label that is only unique within one registry."""
-        return self.context.id
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -141,7 +136,7 @@ def run_sequence(phi0: ElementaryState, plan, rng=None) -> list[MeasurementRecor
         records.append(
             MeasurementRecord(
                 step=step,
-                instrument_type=inst.type_id,
+                instrument_type=inst.context.id,
                 instrument_label=inst.label,
                 observable_fingerprint=element_fingerprint(element),
                 value=value,

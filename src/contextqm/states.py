@@ -20,6 +20,8 @@ Invariants kept here:
   is not the context's dimension.
 * Layers are keyed by context id, unique only within one registry, so a
   context from another registry than a stored layer's is rejected.
+  ``construct_stable_on`` refuses a context of another algebra than the
+  seed context's, through ``AlgebraDescriptor.require``.
 * ``born_weights`` is the one Born rule: every |B^dagger v|^2 of a
   context's basis B, for lazy layers, ensembles and overlap components.
 * ``draw_indices`` is the one Born sampler: inverse CDF, bit for bit
@@ -289,7 +291,6 @@ def evaluate(phi: ElementaryState, ctx: Context, element: AlgebraElement) -> flo
 def construct_state(
     assignments: dict[str, int],
     registry: ContextRegistry,
-    rng=None,
 ) -> ElementaryState:
     """Build a state with explicitly chosen character indices.
 
@@ -299,7 +300,7 @@ def construct_state(
     with conflicting layers are legal and simply fail ``is_stable`` on
     the conflicted observables.
     """
-    phi = ElementaryState(rng=rng)
+    phi = ElementaryState()
     for context_id, index in assignments.items():
         ctx = registry.get(context_id)
         phi.set_layer(ctx, int(index))
@@ -336,16 +337,17 @@ def construct_stable_on(
     index from the overlap component of the seed vector, which is exactly
     the set of choices agreeing with the seed on all shared observables;
     within the component the choice is free (drawn from ``rng`` when
-    given, lowest index otherwise).
+    given, lowest index otherwise).  A context of another algebra is
+    refused; in one algebra the component is never empty, because the seed
+    vector's Born weights over the other basis sum to 1.
     """
     phi = ElementaryState(rng=rng)
     phi.set_layer(ctx, int(index))
     for other in other_contexts:
         if other is ctx:
             continue
+        ctx.algebra.require(other.algebra, f"context {other.id}")
         component = _overlap_component(ctx, other, int(index))
-        if component.size == 0:
-            raise ValueError("contexts share no overlap component")
         if rng is not None and component.size > 1:
             choice = int(component[rng.choice(component.size)])
         else:

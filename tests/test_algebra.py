@@ -76,6 +76,19 @@ class TestElement:
         with pytest.raises(ValueError, match="NaN or infinite"):
             AlgebraElement([[1.0, 0.0], [0.0, bad]], AlgebraDescriptor(2))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.ones((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+            (np.ones(4), r"expected a square matrix, got shape \(4,\)"),
+            (np.eye(3), "matrix size 3 does not match algebra dimension 2"),
+        ],
+        ids=["non-square", "vector", "wrong-size"],
+    )
+    def test_matrix_of_the_wrong_shape_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            AlgebraElement(data, AlgebraDescriptor(2))
+
     def test_matrix_is_read_only(self):
         alg = AlgebraDescriptor(2)
         e = AlgebraElement.identity(alg)
@@ -90,6 +103,14 @@ class TestElement:
         for c in (a + b, a - b, a @ b, 2.5 * a, -a, a.adjoint()):
             assert c.algebra == alg
             assert np.all(c.matrix[mask] == 0)
+
+    def test_scalar_on_either_side(self, rng):
+        a = random_element(3, rng)
+        for scalar in (2.5, 1.0 - 0.5j, np.float64(-3.0), 4):
+            right, left = a * scalar, scalar * a
+            assert right.algebra is a.algebra
+            assert np.array_equal(right.matrix, left.matrix)
+            assert np.array_equal(right.matrix, complex(scalar) * a.matrix)
 
     def test_mixed_algebra_arithmetic_rejected(self, rng):
         a = random_element(3, rng, AlgebraDescriptor(3))
@@ -335,6 +356,10 @@ class TestPredicates:
             AlgebraElement.from_diagonal([1.0, 1.0, 0.0], alg)
         )
         assert not is_one_dim_projector(AlgebraElement.identity(alg))
+
+        # each condition refuses on its own: not Hermitian, then not idempotent
+        assert not is_one_dim_projector(AlgebraElement([[1.0, 1.0, 0], [0, 0, 0], [0, 0, 0]], alg))
+        assert not is_one_dim_projector(AlgebraElement.from_diagonal([0.5, 0.5, 0.0], alg))
 
     def test_positivity_structure_holds_universally(self, rng):
         # The involution axiom: R*R is positive semidefinite for every R,

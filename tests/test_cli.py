@@ -186,6 +186,16 @@ class TestKsSearch:
         assert "--ray-file" in result.output and "line" in result.output
         assert "Traceback" not in result.output
 
+    def test_a_ray_file_without_a_triad_is_a_usage_error(self, runner, tmp_path):
+        # it loads, but the search refuses it: exit 1 is kept for failed checks
+        rays = tmp_path / "no-triad.csv"
+        rays.write_text("1,0,0\n0,1,0\n1,1,1\n")
+        result = runner.invoke(main, ["ks-search", "--ray-file", str(rays)])
+        assert result.exit_code == 2
+        assert "--ray-file" in result.output
+        assert "no complete orthogonal triad" in result.output
+        assert "Traceback" not in result.output
+
     def test_csv_format_summary_line(self, runner):
         goldens = [("--pair-rule", "UNSAT,28,33,16,72"), ("--no-pair-rule", "SAT,23,33,16,72")]
         for rule, summary in goldens:

@@ -392,6 +392,14 @@ class TestInterpolation:
         for c1, c2 in zip(first, second):
             assert c1 is c2
 
+    @pytest.mark.parametrize("other", [AlgebraDescriptor(3, (1, 2)), AlgebraDescriptor(2)])
+    def test_an_element_of_another_algebra_is_refused(self, other):
+        full = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], AlgebraDescriptor(3))
+        foreign = AlgebraElement.from_diagonal(np.arange(other.dimension, dtype=float), other)
+        for a1, a2 in ((full, foreign), (foreign, full)):
+            with pytest.raises(ValueError, match="element belongs to a different algebra"):
+                interpolated_generator(a1, a2, 0.3)
+
 
 class TestContextApi:
     def test_basis_projector_is_rank_one(self, registry):

@@ -49,6 +49,19 @@ class TestStateFunctional:
         with pytest.raises(ValueError):
             StateFunctional.from_vector(np.zeros(2), alg)
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(3) / 3, "shape does not match the algebra"),
+            ([[0.5, 0.5], [0.0, 0.5]], "must be Hermitian"),
+            ([[0.5, 0.0], [0.0, 0.25]], r"not normalized: Psi\(I\) != 1"),
+        ],
+        ids=["shape", "non-hermitian", "trace"],
+    )
+    def test_matrix_refused(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            StateFunctional(rho, AlgebraDescriptor(2))
+
     def test_linearity(self, rng):
         alg = AlgebraDescriptor(3)
         f = StateFunctional.from_vector(random_unit_vector(3, rng), alg)
@@ -399,6 +412,14 @@ class TestStateVectorBridge:
             psi = QuantumState(random_unit_vector(3, rng), alg)
             a = random_element(3, rng)
             assert compression_identity_check(psi, a, rng=rng) <= 1e-10
+
+    def test_compression_identity_on_a_block_algebra(self, rng):
+        # the random elements are drawn in the blocks, like the state's projector
+        alg = AlgebraDescriptor(3, (1, 2))
+        psi = QuantumState(np.array([0.0, 0.6, 0.8]), alg)
+        for _ in range(5):
+            a = random_element(3, rng, alg)
+            assert compression_identity_check(psi, a, rng=rng) <= 1e-14
 
     def test_class_equality_for_state_projector(self, rng):
         alg = AlgebraDescriptor(3)

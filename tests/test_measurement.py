@@ -404,8 +404,17 @@ class TestSpinObservables:
         with pytest.raises(ValueError):
             rotated_squared_family(np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0]]))
 
+    @pytest.mark.parametrize("frame", [np.eye(2), np.eye(3)[:2], np.eye(4)[:3]])
+    def test_frame_that_is_not_three_by_three_rejected(self, frame):
+        with pytest.raises(ValueError, match="three 3-vectors"):
+            rotated_squared_family(frame)
+
 
 class TestKsSearch:
+    def test_rays_that_are_not_normalized_rejected(self):
+        with pytest.raises(ValueError, match="rays must be normalized"):
+            ks_noncontextual_search(2.0 * np.eye(3))
+
     def test_single_triad_is_satisfiable(self):
         rays = np.eye(3)
         result = ks_noncontextual_search(rays)

@@ -104,6 +104,10 @@ class TestWick:
             count = len(perfect_matchings(tuple(range(n))))
             assert count == math.prod(range(n - 1, 0, -2))
 
+    def test_odd_index_set_has_no_matching(self):
+        with pytest.raises(ValueError, match="even number of indices"):
+            perfect_matchings(range(3))
+
     def test_odd_order_vanishes(self):
         assert wick_green([0.3], 1.0) == 0.0
         assert wick_green([0.1, 0.5, 1.2], 1.0) == 0.0
@@ -216,6 +220,13 @@ class TestGroundProjectorLimit:
         with pytest.raises(ValueError):
             ground_projector_limit(-1.0, cutoff=5)
 
+    @pytest.mark.parametrize("cutoff", [1, 0, -3])
+    def test_cutoff_below_two_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be at least 2"):
+            ground_projector_limit(1.0, cutoff)
+        with pytest.raises(ValueError, match="cutoff must be at least 2"):
+            hamiltonian_sandwich_residual(1.0, 1.0, cutoff)
+
     def test_sandwich_residual_decays(self):
         residuals = [
             hamiltonian_sandwich_residual(r, omega=1.0, cutoff=14)
@@ -253,6 +264,12 @@ class TestDampedLadder:
         tr = StateFunctional.tracial(AlgebraDescriptor(6))
         with pytest.raises(ValueError):
             damped_ladder_magnitude(0, 0, 1.0, 1.0, 6, tr)
+
+    @pytest.mark.parametrize("k, l", [(-1, 1), (1, -1)])
+    def test_negative_power_rejected(self, k, l):
+        tr = StateFunctional.tracial(AlgebraDescriptor(6))
+        with pytest.raises(ValueError, match="ladder powers must be nonnegative"):
+            damped_ladder_magnitude(k, l, 1.0, 1.0, 6, tr)
 
     def test_functional_dimension_must_match_cutoff(self):
         tr = StateFunctional.tracial(AlgebraDescriptor(6))

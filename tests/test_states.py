@@ -155,6 +155,15 @@ class TestLazyLayers:
         with pytest.raises(ValueError):
             phi.ensure_layer(ctx1)
 
+    def test_attached_vector_without_weight_on_admissible_indices_rejected(self, shared_setup):
+        # the record admits only the vector read 7, e_3, and the vector is e_1
+        _, ctx1, _, shared = shared_setup
+        phi = ElementaryState(rng=np.random.default_rng(0), attached_vector=[1.0, 0.0, 0.0])
+        phi.add_stable_record(shared, 7.0)
+        with pytest.raises(ValueError, match=f"no weight on admissible indices of {ctx1.id}"):
+            phi.ensure_layer(ctx1)
+        assert phi.layers == {}
+
     def test_born_weights_used_for_attached_vector(self, shared_setup):
         alg, ctx1, _, _ = shared_setup
         weights = np.array([0.8, 0.15, 0.05])
@@ -267,6 +276,16 @@ class TestConstructStableOn:
         foreign = context_from_observable(gen, ContextRegistry())
         assert foreign.id == ctx1.id and foreign is not ctx1
         with pytest.raises(ValueError, match="another registry"):
+            construct_stable_on(ctx1, 0, [foreign])
+
+    @pytest.mark.parametrize("other", [AlgebraDescriptor(3, (1, 2)), AlgebraDescriptor(2)])
+    def test_a_context_of_another_algebra_is_refused(self, shared_setup, other):
+        _, ctx1, _, _ = shared_setup
+        gen = AlgebraElement.from_diagonal(np.arange(other.dimension, dtype=float), other)
+        foreign = context_from_observable(gen, ContextRegistry())
+        with pytest.raises(
+            ValueError, match=f"context {foreign.id} belongs to a different algebra"
+        ):
             construct_stable_on(ctx1, 0, [foreign])
 
     def test_index_validated(self, shared_setup):
@@ -393,6 +412,14 @@ class TestBornDraws:
         else:
             assert np.array_equal(draw_indices(np.array(p), rng, 5), expected)
         assert rng.random() == oracle.random()
+
+    def test_two_dimensional_weights_raise_as_choice_does(self):
+        p = np.full((2, 2), 0.25)
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(0).choice(4, 5, p=p)
+        with pytest.raises(ValueError) as ours:
+            draw_indices(p, np.random.default_rng(0), 5)
+        assert str(ours.value) == str(expected.value) == "p must be 1-dimensional"
 
     def test_a_uniform_on_a_cdf_value_draws_the_next_index(self):
         class Uniforms:  # a generator whose uniforms are given

@@ -1,7 +1,7 @@
 """The documented surface: README examples run, every export resolves with
 its annotations, every name the benchmark traces exists, one module
-decides which algebra an input belongs to, and one helper forms the Born
-weights."""
+decides which algebra an input belongs to, one helper forms the Born
+weights, and no default goes unpassed."""
 
 import ast
 import importlib
@@ -23,9 +23,13 @@ MODULES = ["contextqm"] + [
 ]
 
 
+def _readme_python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
 def test_readme_python_blocks_run_in_order():
     # later blocks use names bound by earlier ones, as a reader would run them
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    blocks = _readme_python_blocks()
     assert blocks
     namespace = {"__name__": "readme"}
     for number, block in enumerate(blocks, start=1):
@@ -158,3 +162,69 @@ def test_only_born_weights_squares_a_magnitude():
         for hit in _squared_magnitudes(path)
     ]
     assert found == ["states.py:born_weights"]
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` of each defaulted parameter of a
+    ``def``, ``__init__`` aside.  The position is the parameter's index
+    among the arguments a call writes, so a method's ``self`` is not
+    counted; it is ``None`` for a keyword-only parameter."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = {
+        id(func)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+    }
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "__init__":
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        skip = 1 if id(func) in methods else 0
+        found += [(func.name, arg.arg, k - skip) for k, arg in enumerate(positional) if k >= first]
+        found += [
+            (func.name, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def _calls_by_name(sources: list[str]) -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    by_keyword = any(kw.arg in (parameter, None) for kw in call.keywords)  # None: **kwargs
+    by_position = position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+    return by_keyword or by_position
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is an option no caller needs; drop it
+    sources = _readme_python_blocks() + [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    calls = _calls_by_name(sources)
+    unpassed = [
+        f"{path.name}:{function}({parameter}=...)"
+        for path in sorted((ROOT / "src" / "contextqm").glob("*.py"))
+        for function, parameter, position in _defaulted_parameters(path)
+        if not any(_passes(call, parameter, position) for call in calls.get(function, ()))
+    ]
+    assert unpassed == []
