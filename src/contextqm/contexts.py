@@ -192,7 +192,7 @@ def canonical_basis(vectors: np.ndarray, generators) -> np.ndarray:
     for i, read in enumerate(reads):
         if read is None:
             raise NonCommutingFamilyError(f"generator {i} is not diagonal in the given vectors")
-    keys = np.vstack([-np.reshape(reads, (-1, vecs.shape[1])), vecs.real, vecs.imag])
+    keys = np.concatenate([-np.reshape(reads, (-1, vecs.shape[1])), vecs.real, vecs.imag])
     return vecs[:, np.lexsort(np.round(keys, _KEY_DECIMALS)[::-1])]  # last key sorts first
 
 

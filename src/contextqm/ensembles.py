@@ -186,12 +186,10 @@ def ensemble_average(
     indices = draw_indices(probs / probs.sum(), rng, sample_count)
     values = reads[indices]
 
+    points = spectrum(element)
     counts = np.bincount(indices, minlength=len(reads))
-    histogram: dict = {}
-    for point in spectrum(element):
-        hits = int(counts[agreeing(reads, point)].sum())
-        if hits:
-            histogram[round(float(point), 12)] = hits
+    hits = agreeing(reads, np.array(points)[:, None]) @ counts  # one row per point
+    histogram = {round(point, 12): hit for point, hit in zip(points, hits.tolist()) if hit}
 
     return EnsembleReport(
         observable_fingerprint=element_fingerprint(element),

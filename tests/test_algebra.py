@@ -372,6 +372,18 @@ class TestPredicates:
         for _ in range(10):
             assert check_positivity_structure(random_element(5, rng, blk))
 
+    @pytest.mark.parametrize("blocks", [None, (1, 2)])
+    @pytest.mark.parametrize("exponent", range(-12, 4))
+    def test_positivity_structure_holds_at_every_scale(self, rng, blocks, exponent):
+        # a small nonzero R has a far smaller R*R; neither is zero
+        alg = AlgebraDescriptor(3) if blocks is None else AlgebraDescriptor(3, blocks)
+        scale = 10.0**exponent
+        unit = np.zeros((3, 3))
+        unit[0, 0] = 1.0
+        assert check_positivity_structure(AlgebraElement(scale * unit, alg))
+        generic = random_element(3, rng, alg)
+        assert check_positivity_structure(AlgebraElement(scale * generic.matrix, alg))
+
     def test_commutator(self, rng):
         alg = AlgebraDescriptor(2)
         sx = AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]), alg)

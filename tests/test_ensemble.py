@@ -83,6 +83,18 @@ def _shared_pair(n, rng, registry, scale):
     return shared, frame, contexts
 
 
+def _per_point_histogram(reads, points, indices):
+    """The ensemble histogram formed one spectrum point at a time: a point
+    sums the draws of the indices whose reads agree with it."""
+    counts = np.bincount(indices, minlength=len(reads))
+    histogram = {}
+    for point in points:
+        hits = int(counts[agreeing(reads, point)].sum())
+        if hits:
+            histogram[round(float(point), 12)] = hits
+    return histogram
+
+
 def _index_array_report(psi, element, ctx1, ctx2, sample_count, rng):
     """The instrument-independence report formed per sample: every draw's
     index (by ``Generator.choice``) and read are kept, and a threshold's
@@ -375,6 +387,32 @@ class TestEnsembleAverage:
         assert drawn.bit_generator.state == oracle.bit_generator.state
         assert report.empirical_mean == float(values.mean())
         assert report.sample_variance == float(values.var(ddof=1))
+
+    @pytest.mark.parametrize("case", ["degenerate_in_finer_context", "block", "nondegenerate_6x6"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_histogram_equals_the_per_point_loop(self, registry, case, seed):
+        rng = np.random.default_rng([seed, 2])
+        if case == "degenerate_in_finer_context":  # measure_seq's observable and context
+            algebra = AlgebraDescriptor(3)
+            finer = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], algebra)
+            ctx = context_from_observable(finer, registry)
+            element = AlgebraElement.from_diagonal([5.0, 5.0, 7.0], algebra)
+        elif case == "block":
+            algebra = AlgebraDescriptor(5, (2, 3))
+            ctx = context_from_observable(random_hermitian(5, rng, algebra), registry)
+            values = np.array([2.0, -1.0, 2.0, 0.5, -1.0])  # repeats across the blocks
+            element = AlgebraElement((ctx.basis * values) @ ctx.basis.conj().T, algebra)
+        else:
+            element = random_hermitian(6, rng)
+            algebra, ctx = element.algebra, context_from_observable(element, registry)
+        psi = QuantumState(random_unit_vector(algebra.dimension, rng), algebra)
+        drawn, oracle = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+        report = ensemble_average(psi, element, ctx, 2000, drawn)
+        probs = born_distribution(psi, ctx)
+        indices = oracle.choice(ctx.dimension, size=2000, p=probs / probs.sum())
+        expected = _per_point_histogram(ctx.reads(element), spectrum(element), indices)
+        assert report.histogram == expected
+        assert list(report.histogram) == list(expected)
 
     def test_error_band_shrinks_with_sample_size(self, registry):
         # Quadrupling the sample count halves the statistical band.

@@ -33,7 +33,7 @@ from contextqm.oscillator import (
     wick_green,
 )
 from contextqm.reports import SCHEMA_VERSION, render_json
-from contextqm.states import ElementaryState, count_draws
+from contextqm.states import ElementaryState, count_draws, draw_indices
 from conftest import random_element, random_hermitian, random_unit_vector
 from test_gns import _per_sample_verify
 
@@ -152,6 +152,19 @@ def test_count_draws_100k_samples(benchmark):
     counts = benchmark.pedantic(count_draws, setup=fresh, rounds=50)
     oracle = np.random.default_rng(7).choice(2, size=100_000, p=probs)
     assert counts.tolist() == np.bincount(oracle, minlength=2).tolist()
+
+
+def test_draw_indices_2000_samples(benchmark):
+    # ensemble_average's draw in a context_sweep op: 2000 indices of a 6-dim context
+    rng = np.random.default_rng(7)
+    probs = np.abs(random_unit_vector(6, rng)) ** 2
+
+    def fresh():
+        return (probs, np.random.default_rng(7), 2000), {}
+
+    indices = benchmark.pedantic(draw_indices, setup=fresh, rounds=200)
+    oracle = np.random.default_rng(7).choice(6, size=2000, p=probs)
+    assert indices.dtype == oracle.dtype and np.array_equal(indices, oracle)
 
 
 @pytest.mark.parametrize("n", [3, 6])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from contextqm.contexts import (
 from contextqm.measurement import Instrument, measure
 from contextqm.states import (
     ElementaryState,
+    _cdf,
+    agreeing,
     check_character_properties,
     construct_stable_on,
     construct_state,
@@ -346,6 +349,83 @@ class TestCharacterProperties:
             phi = construct_state({ctx.id: k}, registry)
             values.add(evaluate(phi, ctx, obs))
         assert values == {10.0, 20.0, 30.0}
+
+
+def _below(x):
+    """The float just below ``x``."""
+    return float(np.nextafter(x, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    reads=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=7),
+    picks=st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from([0.0, 1e-12, -1e-9, 1e-9, 2e-9, 1e-6])),
+        min_size=1,
+        max_size=7,
+    ),
+)
+def test_agreeing_on_a_column_of_values_is_the_rule_per_value(reads, picks):
+    # values at, near and beyond STABILITY_TOL of the reads, scaled by |value| above 1
+    reads = np.array(reads)
+    values = [reads[i % len(reads)] * (1 + step) + step for i, step in picks]
+    rows = agreeing(reads, np.array(values)[:, None])
+    assert rows.tolist() == [agreeing(reads, value).tolist() for value in values]
+
+
+@pytest.mark.parametrize(
+    "probs, uniforms, indices",
+    [
+        # cdf 0.25, 0.5, 1.0
+        ([0.25, 0.25, 0.5], [0.0, 0.25, 0.5, 0.2, 0.75, _below(0.25)], [0, 1, 2, 0, 2, 0]),
+        # zero weights inside and at the end: cdf 0.5, 0.5, 1.0, 1.0
+        (
+            [0.5, 0.0, 0.5, 0.0],
+            [0.0, 0.5, _below(0.5), 0.75, _below(1.0), 0.25],
+            [0, 2, 0, 2, 2, 0],
+        ),
+    ],
+)
+def test_zero_weights_and_shapes_draw_the_counted_index(probs, uniforms, indices):
+    class Uniforms:  # a generator whose uniforms are given, in any shape
+        def __init__(self, values):
+            self.values = np.array(values)
+
+        def random(self, size):
+            count = int(np.prod(size))
+            out, self.values = self.values[:count], self.values[count:]
+            return out.reshape(size)
+
+    probs, size = np.array(probs), len(uniforms)
+    drawn = draw_indices(probs, Uniforms(uniforms), size)
+    assert drawn.dtype == np.intp and drawn.tolist() == indices
+    shaped = draw_indices(probs, Uniforms(uniforms), (2, size // 2))
+    assert shaped.shape == (2, size // 2) and shaped.ravel().tolist() == indices
+    expected = np.bincount(indices, minlength=len(probs)).tolist()
+    assert count_draws(probs, Uniforms(uniforms), size).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@example(weights=[1.0], scale=1.0)
+@example(weights=[0.0, 1.0, 0.0], scale=1.0)
+@example(weights=[5e-324, 1.0, 5e-324], scale=1.0)
+@example(weights=[0.1] * 10, scale=1.0)  # the running sum ends below 1
+@given(
+    weights=st.lists(
+        st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 5e-324, 1e-300])),
+        min_size=1,
+        max_size=24,
+    ),
+    scale=st.floats(1.0 - 2e-8, 1.0 + 2e-8),
+)
+def test_the_last_cdf_entry_is_exactly_one(weights, scale):
+    # why draw_indices counts only cdf[:-1]: no uniform in [0, 1) reaches 1.0
+    p = np.array(weights) / math.fsum(weights) * scale if sum(weights) else np.array(weights)
+    try:
+        cdf = _cdf(p)
+    except ValueError:
+        return  # a p that Generator.choice refuses, too
+    assert cdf[-1] == 1.0
 
 
 # weights with zero-probability outcomes and single outcomes among them
