@@ -170,7 +170,7 @@ def spin_demo(thetas, sample_count, seed):
         exact = float(probs[plus_index])
         counts = count_draws(probs / probs.sum(), rng, sample_count)
         frequency = float(counts[plus_index] / sample_count)
-        se = float(np.sqrt(max(frequency * (1 - frequency), 0.0) / sample_count))
+        se = float(np.sqrt(frequency * (1 - frequency) / sample_count))
         ok = within_band(abs(frequency - exact), se)
         violations += 0 if ok else 1
         angle_rows.append(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement, element_fingerprint, spectrum
 from .contexts import Context
-from .states import ElementaryState, agreeing, born_weights, count_draws, draw_indices
+from .states import ElementaryState, agreeing, born_weights, count_draws
 
 __all__ = [
     "QuantumState",
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 STAT_BAND = 4.0  # standard errors a statistical check may miss by
+NORM_TOL = 1e-6  # how far from 1 a state vector's norm may be before it is refused
+MARGINAL_TOL = 1e-12  # largest exact marginal CDF gap of two instruments; of probabilities, so of 1
 
 
 def within_band(deviation: float, se: float) -> bool:
@@ -66,7 +68,7 @@ class QuantumState:
         if home_context is not None:
             algebra.require(home_context.algebra, f"home context {home_context.id}")
         length = np.linalg.norm(vec)
-        if abs(length - 1.0) > 1e-6:
+        if abs(length - 1.0) > NORM_TOL:
             raise ValueError(f"state vector is not normalized (norm {length:.3e})")
         if abs(length - 1.0) > 0:
             vec = vec / length
@@ -174,29 +176,31 @@ def ensemble_average(
     """Empirical mean of an observable over a fresh sample of the ensemble.
 
     Each sample is an independent elementary state; only its character
-    index in ``ctx`` matters for this observable, so the draw is
-    vectorized over indices rather than materializing states one by one.
-    The histogram is counted per index: a spectrum point's count sums the
-    draws of the indices whose reads agree with it.
+    index in ``ctx`` matters for this observable, so ``count_draws``
+    tallies the draws per index, with no index array, and the mean and
+    ddof=1 variance weigh each read by its count.  The histogram is
+    counted per index: a spectrum point's count sums the draws of the
+    indices whose reads agree with it.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     reads = ctx.reads(element)
     probs = born_distribution(psi, ctx)
-    indices = draw_indices(probs / probs.sum(), rng, sample_count)
-    values = reads[indices]
+    counts = count_draws(probs / probs.sum(), rng, sample_count)
+    mean = float(counts @ reads) / sample_count
+    spread = float(counts @ (reads - mean) ** 2)
+    variance = spread / (sample_count - 1) if sample_count > 1 else 0.0
 
     points = spectrum(element)
-    counts = np.bincount(indices, minlength=len(reads))
     hits = agreeing(reads, np.array(points)[:, None]) @ counts  # one row per point
     histogram = {round(point, 12): hit for point, hit in zip(points, hits.tolist()) if hit}
 
     return EnsembleReport(
         observable_fingerprint=element_fingerprint(element),
         sample_count=sample_count,
-        empirical_mean=float(values.mean()),
+        empirical_mean=mean,
         exact_mean=float(np.real(psi.expectation(element))),
-        sample_variance=float(values.var(ddof=1)) if sample_count > 1 else 0.0,
+        sample_variance=variance,
         histogram=histogram,
     )
 
@@ -264,9 +268,7 @@ def instrument_independence_report(
         exact1, exact2 = (float(p[b].sum()) for p, b in zip(probs, below))
         f1, f2 = (int(c[b].sum()) / sample_count for c, b in zip(counts, below))
         pooled = (f1 * sample_count + f2 * sample_count) / (2 * sample_count)
-        pooled_se = float(
-            np.sqrt(max(pooled * (1 - pooled), 0.0) * (2.0 / sample_count))
-        )
+        pooled_se = float(np.sqrt(pooled * (1 - pooled) * (2.0 / sample_count)))
         diff = abs(f1 - f2)
         band = STAT_BAND * pooled_se
         # degenerate thresholds (pooled 0 or 1) have zero variance and must
@@ -292,5 +294,5 @@ def instrument_independence_report(
         "thresholds": thresholds,
         "max_exact_marginal_diff": max_exact_diff,
         "worst_band_ratio": float(worst_band_ratio),
-        "ok": bool(max_exact_diff <= 1e-12 and worst_band_ratio <= 1.0),
+        "ok": bool(max_exact_diff <= MARGINAL_TOL and worst_band_ratio <= 1.0),
     }

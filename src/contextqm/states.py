@@ -24,12 +24,12 @@ Invariants kept here:
   seed context's, through ``AlgebraDescriptor.require``.
 * ``born_weights`` is the one Born rule: every |B^dagger v|^2 of a
   context's basis B, for lazy layers, ensembles and overlap components.
-* ``draw_indices`` is the one Born sampler: inverse CDF, bit for bit
-  ``Generator.choice(n, size, p=...)`` with its checks on ``p``, and the
-  generator left in the same state.  An array draw counts the cdf entries
-  at or below each uniform, with no binary search.  ``count_draws`` gives
-  the per-index counts of those draws from 65536 uniforms at a time, with
-  no index array, so memory stays flat at any sample count.
+* The Born samplers invert the CDF bit for bit as ``Generator.choice(n,
+  size, p=...)`` does, with its checks on ``p``, and leave the generator
+  in the same state.  ``draw_indices`` is the scalar draw.  ``count_draws``
+  is the one array sampler: it gives the per-index counts of ``size``
+  draws from 65536 uniforms at a time, with no index array, so memory
+  stays flat at any sample count.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ STABILITY_TOL = 1e-9
 # how far from 1 Born weights may sum, as ``Generator.choice`` allows
 SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 DRAW_CHUNK = 1 << 16  # uniforms per batch in count_draws, so memory stays flat
+WEIGHT_FLOOR = 1e-30  # admissible Born weight, of a unit vector's total 1, that counts as none
+OVERLAP_TOL = 1e-12  # |<e_i, f_j>|^2 of unit basis vectors, so of 1, above which they overlap
 
 
 def agreeing(reads: np.ndarray, value) -> np.ndarray:
@@ -114,34 +116,14 @@ def _cdf(probs) -> list[float]:
     return [c / sums[-1] for c in sums]
 
 
-def draw_indices(probs, rng, size=None):
-    """Indices drawn with the weights ``probs``, by inverse CDF.
-
-    Bit for bit ``rng.choice(len(probs), size, p=probs)``, and the
-    generator is left in the same state: an int for ``size=None``,
-    otherwise an ``np.intp`` index array of shape ``size``.
-
-    An array draw gives each uniform u the count of the cdf entries at or
-    below it, which is ``np.searchsorted(cdf, u, side="right")``.  The last
-    entry is ``sums[-1] / sums[-1] == 1.0`` exactly and no uniform reaches
-    it, so only ``cdf[:-1]`` is counted.  One vectorized comparison per
-    entry avoids the binary search's mispredicted branches.  On a 2-vCPU
-    x86 VM with numpy 2.4 the count is the faster of the two at 2000
-    samples up to between 16 and 24 weights (28 against 54 us at 6), and at
-    10^5 samples at every weight count up to 32.
-    """
-    cdf = _cdf(probs)
-    if size is None:
-        return bisect_right(cdf, rng.random())
-    uniforms = rng.random(size)
-    indices = np.zeros(uniforms.shape, dtype=np.intp)
-    for c in cdf[:-1]:
-        indices += uniforms >= c
-    return indices
+def draw_indices(probs, rng) -> int:
+    """An index drawn with the weights ``probs`` by inverse CDF: bit for bit
+    ``rng.choice(len(probs), p=probs)``, and the generator left in the same state."""
+    return bisect_right(_cdf(probs), rng.random())
 
 
 def count_draws(probs, rng, size: int) -> np.ndarray:
-    """How often each index comes up in ``draw_indices(probs, rng, size)``.
+    """How often each index comes up in ``rng.choice(len(probs), size, p=probs)``.
 
     Index j is drawn when cdf[j - 1] <= u < cdf[j], so u < cdf[j] counts
     the draws at or below j; no index array is formed.  The uniforms come
@@ -266,7 +248,7 @@ class ElementaryState:
         if vector is not None:
             weights = born_weights(ctx.basis, vector)[admissible]
             total = weights.sum()
-            if total <= 1e-30:
+            if total <= WEIGHT_FLOOR:
                 raise ValueError(
                     f"attached state has no weight on admissible indices of {ctx.id}"
                 )
@@ -339,7 +321,7 @@ def _overlap_component(ctx: Context, other: Context, index: int) -> np.ndarray:
     the joint eigenspaces of all shared observables.  Stability forces the
     other context's index into the component of the seed index.
     """
-    edge = born_weights(ctx.basis, other.basis) > 1e-12
+    edge = born_weights(ctx.basis, other.basis) > OVERLAP_TOL
     reached = np.arange(edge.shape[0]) == index
     while True:
         right = edge[reached].any(axis=0)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from contextqm.algebra import AlgebraDescriptor, AlgebraElement, adjoint, spectrum
@@ -10,7 +11,7 @@ from contextqm.contexts import (
     context_from_family,
     context_from_observable,
 )
-from contextqm import ensembles, states
+from contextqm import cli, ensembles, states
 from contextqm.ensembles import (
     STAT_BAND,
     QuantumState,
@@ -93,6 +94,26 @@ def _per_point_histogram(reads, points, indices):
         if hits:
             histogram[round(float(point), 12)] = hits
     return histogram
+
+
+def _per_sample_histogram(values, points):
+    """The ensemble histogram counted over the drawn values, one spectrum
+    point at a time."""
+    histogram = {}
+    for point in points:
+        hits = int(np.count_nonzero(agreeing(values, point)))
+        if hits:
+            histogram[round(float(point), 12)] = hits
+    return histogram
+
+
+def _tally_moments(reads, indices):
+    """The mean and ddof=1 variance of the drawn reads, formed per index:
+    each read weighted by how often its index was drawn."""
+    counts, sample_count = np.bincount(indices, minlength=len(reads)), len(indices)
+    mean = float(counts @ reads) / sample_count
+    spread = float(counts @ (reads - mean) ** 2)
+    return mean, spread / (sample_count - 1) if sample_count > 1 else 0.0
 
 
 def _index_array_report(psi, element, ctx1, ctx2, sample_count, rng):
@@ -375,18 +396,65 @@ class TestEnsembleAverage:
         drawn, oracle = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         report = ensemble_average(psi, element, ctx, 3000, drawn)
         probs = born_distribution(psi, ctx)
-        values = ctx.diagonal_values(element)[
-            oracle.choice(5, size=3000, p=probs / probs.sum())
-        ]
-        expected = {}
-        for point in spectrum(element):
-            hits = int(np.count_nonzero(agreeing(values, point)))
-            if hits:
-                expected[round(float(point), 12)] = hits
+        indices = oracle.choice(5, size=3000, p=probs / probs.sum())
+        reads = ctx.diagonal_values(element)
+        expected = _per_sample_histogram(reads[indices], spectrum(element))
         assert list(report.histogram.items()) == list(expected.items())
         assert drawn.bit_generator.state == oracle.bit_generator.state
-        assert report.empirical_mean == float(values.mean())
-        assert report.sample_variance == float(values.var(ddof=1))
+        moments = _tally_moments(reads, indices)
+        assert (report.empirical_mean, report.sample_variance) == moments
+
+    @settings(max_examples=60, deadline=None)
+    @example(n=2, seed=0, scale=1.0, eigenvector=False, sample_count=1)
+    @example(n=6, seed=1, scale=1e8, eigenvector=True, sample_count=DRAW_CHUNK + 1)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, -3.0, 1e8]),
+        eigenvector=st.booleans(),
+        sample_count=st.sampled_from(
+            [1, 2, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 70_000]
+        ),
+    )
+    def test_the_per_index_tally_equals_the_choice_draw(
+        self, n, seed, scale, eigenvector, sample_count
+    ):
+        rng = np.random.default_rng(seed)
+        shared, frame, (ctx, _) = _shared_pair(n, rng, ContextRegistry(), scale)
+        vector = frame[:, 0] if eigenvector else random_unit_vector(n, rng)
+        psi = QuantumState(vector, shared.algebra)
+        drawn, oracle = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        report = ensemble_average(psi, shared, ctx, sample_count, drawn)
+        probs = born_distribution(psi, ctx)
+        indices = oracle.choice(n, size=sample_count, p=probs / probs.sum())
+        reads = ctx.reads(shared)
+        expected = _per_sample_histogram(reads[indices], spectrum(shared))
+        assert list(report.histogram.items()) == list(expected.items())
+        assert drawn.bit_generator.state == oracle.bit_generator.state
+        moments = _tally_moments(reads, indices)
+        assert (report.empirical_mean, report.sample_variance) == moments
+        # the per-index sums are the per-sample ones up to rounding
+        values, size = reads[indices], float(np.abs(reads).max())
+        assert abs(moments[0] - values.mean()) <= 1e-12 * size
+        if sample_count > 1:
+            assert abs(moments[1] - values.var(ddof=1)) <= 1e-12 * size**2
+
+    def test_memory_is_flat_in_the_sample_count(self, registry):
+        sz = AlgebraElement.from_diagonal([1.0, -1.0], AlgebraDescriptor(2))
+        ctx = context_from_observable(sz, registry)
+        # first-call allocations are not the draws'
+        ensemble_average(x_polarized(), sz, ctx, 10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            report = ensemble_average(
+                x_polarized(), sz, ctx, 2_000_000, np.random.default_rng(0)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(report.histogram.values()) == 2_000_000
+        # an index and a value array per sample would take about 46 MB here
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("case", ["degenerate_in_finer_context", "block", "nondegenerate_6x6"])
     @pytest.mark.parametrize("seed", range(3))
@@ -602,3 +670,32 @@ def test_born_weights_is_the_one_born_rule(registry, monkeypatch):
     assert shapes == [(3,), (3,)]
     construct_stable_on(c1, 0, [c1, c2])
     assert shapes == [(3,), (3,), (3, 3)]
+
+
+def test_count_draws_is_the_one_array_sampler(registry, monkeypatch):
+    # each caller that draws a sample tallies it once per context, and
+    # none of them draws indices one at a time
+    tallied, single = [], []
+    count_draws, draw_indices = states.count_draws, states.draw_indices
+
+    def tally(probs, rng, size):
+        tallied.append(len(probs))
+        return count_draws(probs, rng, size)
+
+    def draw(*args, **kwargs):
+        single.append(len(args[0]))
+        return draw_indices(*args, **kwargs)
+
+    for module in (states, ensembles, cli):
+        monkeypatch.setattr(module, "count_draws", tally, raising=False)
+        monkeypatch.setattr(module, "draw_indices", draw, raising=False)
+    shared, c1, c2 = _x_shared_spin1_contexts(registry)
+    psi = QuantumState(np.array([0.6, 0.0, 0.8j]), shared.algebra)
+    ensemble_average(psi, shared, c1, 100, np.random.default_rng(0))
+    assert tallied == [3]
+    instrument_independence_report(psi, shared, c1, c2, 100, np.random.default_rng(0))
+    assert tallied == [3, 3, 3]
+    result = CliRunner().invoke(cli.main, ["spin-demo", "-n", "100", "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    assert tallied == [3, 3, 3, 2, 2, 2, 2]  # one per default angle
+    assert single == []
