@@ -39,6 +39,9 @@ BLOCK_TOL = 1e-12
 GROUPING_TOL = 1e-9
 # absolute residual allowed by the one-dimensional projector predicate
 PROJECTOR_TOL = 1e-9
+# largest entry of A^2 - R*R, for A the principal square root of R*R, that
+# the positivity check admits; relative to max(1, max|R*R|)
+SQUARE_ROOT_TOL = 1e-8
 
 
 class NonHermitianError(ValueError):
@@ -361,7 +364,7 @@ def check_positivity_structure(element: AlgebraElement) -> bool:
     if values[0] < -HERMITIAN_TOL * scale:
         return False
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
-    return bool(np.abs(root @ root - gram).max(initial=0.0) <= 1e-8 * scale)
+    return bool(np.abs(root @ root - gram).max(initial=0.0) <= SQUARE_ROOT_TOL * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,15 @@ from .reports import SCHEMA_VERSION, render_csv, render_json
 from .states import count_draws
 
 GNS_THRESHOLD = 1e-10
+# green's largest route gap, relative to the sum of the pairing terms'
+# magnitudes (``_pairing_magnitude``)
 GREEN_THRESHOLD = 1e-8
 # spin-demo's sample cap: 10**9 draws at the four default angles take about
 # 20 s on a 2-vCPU host, and count_draws keeps memory flat at any count
 MAX_SAMPLES = 10**9
 # gns-check's trial cap: at --n 6, 2*10**4 trials take 0.8-1.1 s on that
-# host, so 3*10**5 take about 15 s; the trials run in chunks, so memory is flat
+# host, so 3*10**5 take about 15 s; the trials run in batches of a fixed byte
+# size, so memory is flat in the trial count and in --n
 MAX_TRIALS = 3 * 10**5
 
 
@@ -246,7 +249,8 @@ def green(order, omega, times, cutoff, seed):
 
     Emits the pairing-expansion value, the truncated-matrix value, and
     the absolute difference; exits nonzero when the routes disagree
-    beyond 1e-8.  Odd orders are identically zero.
+    beyond 1e-8 times (n-1)!! (2 omega)^(-n/2), the sum of the pairing
+    terms' magnitudes.  Odd orders are identically zero.
     """
     if times is not None:
         try:
@@ -265,6 +269,7 @@ def green(order, omega, times, cutoff, seed):
         with np.errstate(over="ignore", invalid="ignore"):
             wick = wick_green(time_list, omega)
             fock = fock_oracle_green(time_list, omega, cutoff)
+            scale = _pairing_magnitude(order, omega)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
     if not (np.isfinite(wick) and np.isfinite(fock)):
@@ -292,7 +297,22 @@ def green(order, omega, times, cutoff, seed):
         "fock_im": fock.imag,
         "abs_difference": difference,
     }
-    return parameters, results, [row], difference <= GREEN_THRESHOLD  # a NaN gap fails too
+    # a NaN gap fails too
+    return parameters, results, [row], difference <= GREEN_THRESHOLD * scale
+
+
+def _pairing_magnitude(order: int, omega: float) -> float:
+    """haf(|K|): the sum of the magnitudes of the n-point pairing terms.
+
+    Every kernel entry has magnitude 1/(2 omega), so each of the (n-1)!!
+    pairings of an even order contributes (2 omega)^(-n/2).  It is also the
+    sum of the magnitudes of the Fock route's path products, so it scales
+    the rounding of both routes.  Odd orders have no pairings and both
+    routes give exactly zero; their gap keeps the scale 1.
+    """
+    if order % 2:
+        return 1.0
+    return float(np.prod(np.arange(order - 1, 0, -2.0)) * np.float64(2.0 * omega) ** (-order / 2))
 
 
 @main.command("gns-check")

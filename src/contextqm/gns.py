@@ -26,14 +26,19 @@ Invariants kept here:
   by block; seminorm ideals are the null spaces of the summed density
   matrices.
 * ``pure_state_trials`` (``gns-check``'s random pure-state trials) runs as
-  stacked batches of at most ``TRIAL_CHUNK`` trials.  Its residuals and
-  the generator's state afterwards are bit for bit those of the per-trial
-  loop over ``StateFunctional``, ``build_gns``, ``vacuum_expectation`` and
-  ``compression_identity_check``, which stay public as that loop's oracle.
+  stacked batches.  Its residuals and the generator's state afterwards are
+  bit for bit those of the per-trial loop over ``StateFunctional``,
+  ``build_gns``, ``vacuum_expectation`` and ``compression_identity_check``,
+  which stay public as that loop's oracle.
 * ``verify_gns`` (the tracial summary of ``gns-check``) runs its random
   element pairs as stacked batches too, bit for bit the per-sample loop
   over ``AlgebraElement``, ``class_vector``, ``represent`` and
   ``vacuum_expectation``, which the tests keep as its oracle.
+* A batch holds as many items as keep each stack of complex matrices in it
+  within ``STACK_BYTES``, and at least one (``_batch_size``), so a batch
+  stays cache-sized and memory is flat in the item count and in n.  Every
+  stacked step is per item and the generator is drawn in item order, so
+  no result depends on the batch size.
 """
 
 from __future__ import annotations
@@ -61,7 +66,10 @@ __all__ = [
 
 RANK_CUTOFF = 1e-10
 CLASS_TOL = 1e-9  # classes this close are one point of the quotient
-TRIAL_CHUNK = 128  # trials or samples stacked per batch, so memory is bounded
+# Hermiticity, positivity and normalization gaps a functional's density
+# matrix may have; absolute, and so relative to the unit trace Psi(I) = 1
+FUNCTIONAL_TOL = 1e-12
+STACK_BYTES = 128 * 1024  # bytes per stack of complex matrices in one batch
 COMPRESSION_SAMPLES = 8  # random elements per compression-invariance check
 
 
@@ -85,13 +93,13 @@ class StateFunctional:
             raise ValueError("functional matrix has a NaN or infinite entry")
         if not algebra.is_full:
             rho[~algebra.block_mask()] = 0.0
-        if np.abs(rho - rho.conj().T).max(initial=0.0) > 1e-12:
+        if np.abs(rho - rho.conj().T).max(initial=0.0) > FUNCTIONAL_TOL:
             raise ValueError("functional matrix must be Hermitian")
         spectra, top = _block_spectra(rho, algebra.block_slices())
         lowest = min(float(values[0]) for values, _ in spectra)
-        if lowest < -1e-12:
+        if lowest < -FUNCTIONAL_TOL:
             raise ValueError(f"functional is not positive (min eigenvalue {lowest:.2e})")
-        if abs(np.trace(rho).real - 1.0) > 1e-12:
+        if abs(np.trace(rho).real - 1.0) > FUNCTIONAL_TOL:
             raise ValueError("functional is not normalized: Psi(I) != 1")
         # The Gram form on matrix units is block-diag_b(I_{n_b} (x) rho_b^T),
         # whose spectrum is each rho_b spectrum repeated n_b times: the rank
@@ -312,6 +320,12 @@ def compression_identity_check(
     return _compression_residuals(p[None], element.matrix[None], raw[None])[0]
 
 
+def _batch_size(matrices: int, size: int) -> int:
+    """Items per batch when each item stacks ``matrices`` complex
+    size x size matrices: as many as fit in ``STACK_BYTES``, at least one."""
+    return max(1, STACK_BYTES // (16 * matrices * size * size))
+
+
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     """Each row over its length, as ``np.linalg.norm`` takes it bit for bit.
 
@@ -334,10 +348,11 @@ def pure_state_trials(algebra: AlgebraDescriptor, trials: int, rng):
     are the worst expectation residual, the worst compression residual and
     whether every GNS space had rank n.
 
-    The trials run as stacked batches of ``TRIAL_CHUNK``, and no step of a
-    batch loops over its trials in Python: the GNS operators fill diagonals
-    (``_kron_identity``) and the compression check takes its products and
-    trace sums over the whole stack (``_compression_residuals``).  Every
+    The trials run as stacked batches whose stack of compression samples
+    takes at most ``STACK_BYTES``, and no step of a batch loops over its
+    trials in Python: the GNS operators fill diagonals (``_kron_identity``)
+    and the compression check takes its products and trace sums over the
+    whole stack (``_compression_residuals``).  Every
     residual and the generator's state afterwards are bit for bit those of
     looping over ``QuantumState``, ``build_gns(StateFunctional...)``,
     ``vacuum_expectation`` and ``compression_identity_check`` trial by trial.
@@ -345,9 +360,10 @@ def pure_state_trials(algebra: AlgebraDescriptor, trials: int, rng):
     if not algebra.is_full:
         raise ValueError("pure-state trials run on a full matrix algebra")
     n = algebra.dimension
+    batch = _batch_size(COMPRESSION_SAMPLES, n)
     expectation, compression, rank_ok = 0.0, 0.0, True
-    for start in range(0, trials, TRIAL_CHUNK):
-        m = min(TRIAL_CHUNK, trials - start)
+    for start in range(0, trials, batch):
+        m = min(batch, trials - start)
         # one row per trial: vector re, im; element re, im; samples
         draws = rng.normal(size=(m, 2 * n + (2 + 2 * COMPRESSION_SAMPLES) * n * n))
         raw = draws[:, :n] + 1j * draws[:, n : 2 * n]
@@ -438,11 +454,12 @@ def verify_gns(space: GnsSpace, samples: int, rng) -> dict:
     nonzero when any exceeds 1e-10).
 
     Each sample draws an element R, then an element S, each as its real
-    then imaginary part.  The samples run as stacked batches of
-    ``TRIAL_CHUNK``; every residual and the generator's state afterwards
-    are bit for bit those of checking ``AlgebraElement`` pairs one by one
-    through ``class_vector``, ``represent``, ``vacuum_expectation`` and
-    the functional's ``value``.
+    then imaginary part.  The samples run as stacked batches whose
+    rank x rank representations take at most ``STACK_BYTES`` per stack;
+    every residual and the generator's state afterwards are bit for bit
+    those of checking ``AlgebraElement`` pairs one by one through
+    ``class_vector``, ``represent``, ``vacuum_expectation`` and the
+    functional's ``value``.
     """
     algebra = space.algebra
     n = algebra.dimension
@@ -452,8 +469,9 @@ def verify_gns(space: GnsSpace, samples: int, rng) -> dict:
     homomorphism_residual = 0.0
     adjoint_residual = 0.0
     expectation_residual = 0.0
-    for start in range(0, samples, TRIAL_CHUNK):
-        m = min(TRIAL_CHUNK, samples - start)
+    batch = _batch_size(1, space.rank)
+    for start in range(0, samples, batch):
+        m = min(batch, samples - start)
         # one row per sample: R re, R im, S re, S im
         draws = rng.normal(size=(m, 4, n, n))
         r = draws[:, 0] + 1j * draws[:, 1]

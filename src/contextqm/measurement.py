@@ -46,6 +46,12 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-9
 SAME_RAY_TOL = 1e-9  # rays with |<u, v>| >= 1 - SAME_RAY_TOL are one ray
+RAY_NORM_TOL = 1e-9  # largest | ||u|| - 1 | of a ray the search takes as normalized, so of 1
+ZERO_RAY_TOL = 1e-12  # a file's ray shorter than this, in the file's own units, is a zero vector
+FRAME_TOL = 1e-10  # largest entry of F F^T - I for an axis frame F of unit rows, so of 1
+# weight ||P v|| of the attached unit vector v on the measured eigenspace
+# below which it has none; of ||v|| = 1
+PROJECTED_WEIGHT_TOL = 1e-12
 GRAM_BLOCK = 256  # Gram rows formed per block in _gram_pairs, so memory grows as m, not m^2
 
 # sha256 of the bundled 33-ray coordinate file; refuse to run on a
@@ -102,7 +108,7 @@ def measure(phi: ElementaryState, inst: Instrument, element: AlgebraElement, rng
         eigenspace = ctx.basis[:, agreeing(reads, value)]
         projected = eigenspace @ (eigenspace.conj().T @ vector)
         weight = np.linalg.norm(projected)
-        if not weight > 1e-12:
+        if not weight > PROJECTED_WEIGHT_TOL:
             raise ValueError(f"attached vector has no weight on value {value!r} in {ctx.id}")
         vector = projected / weight
 
@@ -202,7 +208,7 @@ def rotated_squared_family(axis_frame) -> tuple:
     frame = np.asarray(axis_frame, dtype=float)
     if frame.shape != (3, 3):
         raise ValueError("axis_frame must be three 3-vectors")
-    if np.abs(frame @ frame.T - np.eye(3)).max() > 1e-10:
+    if np.abs(frame @ frame.T - np.eye(3)).max() > FRAME_TOL:
         raise ValueError("axis frame is not orthonormal")
     sx, sy, sz = spin1_matrices()
     squares = []
@@ -308,7 +314,7 @@ def ks_noncontextual_search(rays, pair_rule: bool = True) -> KsSearchResult:
         raise ValueError("rays must be a nonempty list of 3-vectors")
     if not np.isfinite(rays).all():
         raise ValueError("rays must be finite")
-    if not np.abs(np.linalg.norm(rays, axis=1) - 1.0).max() <= 1e-9:
+    if not np.abs(np.linalg.norm(rays, axis=1) - 1.0).max() <= RAY_NORM_TOL:
         raise ValueError("rays must be normalized")
 
     pairs, triads, orth = _orthogonal_structure(rays)
@@ -390,7 +396,7 @@ def _rays(text: str, source: str) -> np.ndarray:
     if not len(rays):
         raise ValueError(f"{source} contains no rays")
     norms = np.linalg.norm(rays, axis=1)
-    if norms.min() < 1e-12:
+    if norms.min() < ZERO_RAY_TOL:
         raise ValueError(f"{source} contains a zero vector")
     rays = rays / norms[:, None]
     same = _gram_pairs(rays, lambda overlap: overlap >= 1.0 - SAME_RAY_TOL)

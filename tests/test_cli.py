@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from contextqm import cli
+from contextqm import cli, gns, oscillator
 from contextqm.cli import main
 from contextqm.reports import _csv_cell, render_json
 from conftest import ChoiceSpy
@@ -291,6 +291,54 @@ class TestGreen:
             )
             assert report["results"]["abs_difference"] <= 1e-8
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--n", "10", "--omega", "0.05"], ["--n", "12", "--omega", "0.1"]],
+        ids=["n10-omega0.05", "n12-omega0.1"],
+    )
+    def test_the_gate_scales_with_the_terms(self, runner, args):
+        # G grows as (n-1)!! (2 omega)^(-n/2): these gaps are above 1e-8 but
+        # within a few ulps of the terms' magnitude sum, and exited 1 under
+        # an absolute gate
+        result = runner.invoke(main, ["green", *args, "--seed", "3"])
+        assert result.exit_code == 0
+        results = _report(result)["results"]
+        assert results["abs_difference"] > 1e-8
+        scale = cli._pairing_magnitude(int(args[1]), float(args[3]))
+        assert results["abs_difference"] <= 1e-14 * scale
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--n", "10", "--omega", "0.05", "--seed", "3"], ["--n", "12", "--omega", "1000"]],
+        ids=["large-terms", "small-terms"],
+    )
+    def test_a_perturbed_kernel_entry_fails_the_gate(self, runner, monkeypatch, args):
+        # the pairing route alone sees the perturbed entry; at omega 1000 the
+        # whole function is below 1e-15, so only a gate scaled to the terms
+        # can see a disagreement there
+        real_kernel = oscillator._kernel
+
+        def perturbed(delta_t, omega):
+            kernel = real_kernel(delta_t, omega)
+            kernel[0, 1] *= 1.0 + 1e-3
+            kernel[1, 0] *= 1.0 + 1e-3
+            return kernel
+
+        monkeypatch.setattr(oscillator, "_kernel", perturbed)
+        result = runner.invoke(main, ["green", *args])
+        assert result.exit_code == 1
+        assert result.stdout
+
+    def test_pairing_magnitude_is_the_hafnian_of_the_kernel_magnitudes(self):
+        # |K_ij| = 1/(2 omega) for every pair, so each of the (n-1)!!
+        # pairings contributes (2 omega)^(-n/2)
+        for omega in (0.05, 1.0, 1000.0):
+            for order in range(0, 13, 2):
+                pairings = len(oscillator.perfect_matchings(range(order)))
+                expected = pairings * (2.0 * omega) ** (-order / 2)
+                assert cli._pairing_magnitude(order, omega) == pytest.approx(expected, rel=1e-15)
+            assert cli._pairing_magnitude(3, omega) == 1.0
+
     def test_csv_format(self, runner):
         result = runner.invoke(
             main, ["green", "--n", "2", "--times", "0,0", "--format", "csv"]
@@ -334,13 +382,14 @@ class TestGnsCheck:
     def test_one_eigensolve_per_functional(self, runner, eigensolves, n):
         # the 100 pure functionals and the tracial one eigensolve their single
         # block once each, and building their GNS spaces adds none; the other
-        # 100 are the compression check's norm.  The 100 trials fit in one
-        # stacked batch: one call solves every rho, one every compression
-        # gap, and the tracial functional makes the third call
+        # 100 are the compression check's norm.  Each stacked batch of trials
+        # makes one call for its rho and one for its compression gaps, and
+        # the tracial functional makes one more
         result = runner.invoke(main, ["gns-check", "--n", str(n), "--trials", "100"])
         assert result.exit_code == 0
         assert sum(math.prod(shape[:-2]) for shape in eigensolves) == 201
-        assert len(eigensolves) == 3
+        batches = math.ceil(100 / gns._batch_size(gns.COMPRESSION_SAMPLES, n))
+        assert len(eigensolves) == 2 * batches + 1
         assert {shape[-2:] for shape in eigensolves} == {(n, n)}
 
     def test_dimension_range_enforced(self, runner):
@@ -375,7 +424,7 @@ HELP_PAGES = {
     ),
     "green": (
         ["order", "omega", "times", "cutoff", "seed", "out", "fmt"],
-        "4efcd5d1ccb29d16dbb8aca713975119447f4d775eacd0709c4247bf9f90bffa",
+        "3891f71f30edc05b38a7c58547efe4bd9c6671cf144335c53ab74172b6be3f29",
     ),
     "gns-check": (
         ["dimension", "trials", "seed", "out", "fmt"],

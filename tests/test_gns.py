@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from contextqm.ensembles import QuantumState, linearity_residual, quantum_averag
 from contextqm import gns
 from contextqm.gns import (
     RANK_CUTOFF,
-    TRIAL_CHUNK,
+    STACK_BYTES,
     StateFunctional,
     build_gns,
     class_equality_check,
@@ -587,10 +588,23 @@ class TestStackedVerify:
 
     def test_more_samples_than_one_chunk(self):
         space = build_gns(StateFunctional.tracial(AlgebraDescriptor(4, (3, 1))))
+        samples = gns._batch_size(1, space.rank) + 3
         oracle_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
-        oracle = _per_sample_verify(space, TRIAL_CHUNK + 3, oracle_rng)
-        assert verify_gns(space, TRIAL_CHUNK + 3, batch_rng) == oracle
+        oracle = _per_sample_verify(space, samples, oracle_rng)
+        assert verify_gns(space, samples, batch_rng) == oracle
         assert batch_rng.normal() == oracle_rng.normal()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_per_sample_loop_at_the_batch_boundary(self, n):
+        # b samples fill one batch exactly and b + 1 start a second
+        for algebra in (AlgebraDescriptor(n), AlgebraDescriptor(n, (1, n - 1))):
+            space = build_gns(StateFunctional.tracial(algebra))
+            b = gns._batch_size(1, space.rank)
+            for samples in (b, b + 1):
+                oracle_rng, batch_rng = np.random.default_rng(n), np.random.default_rng(n)
+                oracle = _per_sample_verify(space, samples, oracle_rng)
+                assert verify_gns(space, samples, batch_rng) == oracle
+                assert batch_rng.normal() == oracle_rng.normal()
 
     def test_represents_no_element_one_by_one(self, monkeypatch):
         space = build_gns(StateFunctional.tracial(AlgebraDescriptor(3)))
@@ -638,8 +652,10 @@ def _per_trial_loop(algebra, trials, rng):
 class TestStackedPureStateTrials:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_equals_the_per_trial_loop(self, n):
-        # one oracle pass of 300 trials per seed, checked after each count
-        counts = (0, 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 300)
+        # one oracle pass per seed, checked after each count: b trials fill
+        # one batch exactly and b + 1 start a second
+        b = gns._batch_size(gns.COMPRESSION_SAMPLES, n)
+        counts = sorted({0, 1, b, b + 1, 300})
         algebra = AlgebraDescriptor(n)
         for seed in range(10):
             oracle_rng = np.random.default_rng(seed)
@@ -695,30 +711,81 @@ def _per_item_compression_residuals(p, a, raw):
     return residuals
 
 
+# the trials per batch of pure_state_trials at each dimension
+TRIAL_BATCHES = {n: gns._batch_size(gns.COMPRESSION_SAMPLES, n) for n in range(2, 7)}
+
+
+def _assert_per_item_sums(n, m, samples, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    p = vectors[:, :, None] * vectors.conj()[:, None, :]
+    a = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    a = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    draws = rng.normal(size=(m, samples, 2, n, n))
+    raw = draws[:, :, 0] + 1j * draws[:, :, 1]
+    assert gns._compression_residuals(p, a, raw) == _per_item_compression_residuals(
+        p, a, raw
+    )
+
+
 class TestStackedCompressionResiduals:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 6),
-        m=st.integers(1, TRIAL_CHUNK + 1),
+        m=st.integers(1, max(TRIAL_BATCHES.values()) + 1),
         samples=st.sampled_from([0, 1, gns.COMPRESSION_SAMPLES]),
         seed=st.integers(0, 2**32 - 1),
     )
-    # one item is compression_identity_check's shape, and TRIAL_CHUNK + 1
-    # items one more than pure_state_trials ever stacks
+    # one item is compression_identity_check's shape, and a batch plus one
+    # item one more than pure_state_trials ever stacks at that dimension
     @example(n=3, m=1, samples=gns.COMPRESSION_SAMPLES, seed=0)
-    @example(n=6, m=TRIAL_CHUNK + 1, samples=gns.COMPRESSION_SAMPLES, seed=1)
+    @example(n=6, m=TRIAL_BATCHES[6] + 1, samples=gns.COMPRESSION_SAMPLES, seed=1)
     def test_equals_the_per_item_sums(self, n, m, samples, seed):
-        rng = np.random.default_rng(seed)
-        vectors = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        p = vectors[:, :, None] * vectors.conj()[:, None, :]
-        a = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
-        a = 0.5 * (a + a.conj().transpose(0, 2, 1))
-        draws = rng.normal(size=(m, samples, 2, n, n))
-        raw = draws[:, :, 0] + 1j * draws[:, :, 1]
-        assert gns._compression_residuals(p, a, raw) == _per_item_compression_residuals(
-            p, a, raw
-        )
+        _assert_per_item_sums(n, m, samples, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_per_item_sums_at_the_batch_boundary(self, n):
+        for m in (TRIAL_BATCHES[n], TRIAL_BATCHES[n] + 1):
+            _assert_per_item_sums(n, m, gns.COMPRESSION_SAMPLES, seed=n)
+
+
+class TestBatchesAreSizedInBytes:
+    @pytest.mark.parametrize("matrices", [1, gns.COMPRESSION_SAMPLES])
+    def test_a_batch_fills_the_budget_and_holds_at_least_one_item(self, matrices):
+        for size in (1, 2, 6, 36, 90, 200):
+            b = gns._batch_size(matrices, size)
+            item = 16 * matrices * size * size
+            assert b >= 1
+            assert b * item <= STACK_BYTES or b == 1
+            assert (b + 1) * item > STACK_BYTES
+
+    def test_memory_is_flat_in_trials_and_samples(self):
+        # the peak of a stacked run is a few stacks of one batch (draws,
+        # sandwiches, representations and their products), whatever the
+        # item count
+        algebra = AlgebraDescriptor(6)
+        space = build_gns(StateFunctional.tracial(algebra))
+
+        def peak(run, count):
+            run(count)  # first-call allocations of numpy are not the batch's
+            tracemalloc.start()
+            try:
+                run(count)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def trials(count):
+            pure_state_trials(algebra, count, np.random.default_rng(0))
+
+        def samples(count):
+            verify_gns(space, count, np.random.default_rng(0))
+
+        for run, small, large in ((trials, 100, 1000), (samples, 20, 200)):
+            low, high = peak(run, small), peak(run, large)
+            assert high <= 1.01 * low
+            assert high < 10 * STACK_BYTES
 
 
 class TestKronIdentity:
