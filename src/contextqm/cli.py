@@ -167,13 +167,17 @@ def spin_demo(thetas, sample_count, seed):
         rng = np.random.default_rng(stream)
         observable = spin_axis_observable(theta)
         ctx = context_from_observable(observable, registry)
+        # normalized once: the report and the gate read the law the draws use
         probs = born_distribution(psi, ctx)
+        probs = probs / probs.sum()
         reads = ctx.diagonal_values(observable)
         plus_index = int(np.argmax(reads))  # the +1 eigenvalue's slot
         exact = float(probs[plus_index])
-        counts = count_draws(probs / probs.sum(), rng, sample_count)
+        counts = count_draws(probs, rng, sample_count)
         frequency = float(counts[plus_index] / sample_count)
-        se = float(np.sqrt(frequency * (1 - frequency) / sample_count))
+        # the spread of the frequency under that law, not under the sample,
+        # so a run that draws no minority outcome keeps a nonzero band
+        se = float(np.sqrt(exact * (1 - exact) / sample_count))
         ok = within_band(abs(frequency - exact), se)
         violations += 0 if ok else 1
         angle_rows.append(

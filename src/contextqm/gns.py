@@ -7,7 +7,7 @@ space on which the algebra acts by left multiplication.  Every such Psi
 is trace(rho .), and Psi(R* S) = <R rho^1/2, S rho^1/2>_HS, so the space
 is built in closed form, block by block, from the eigenpairs of the
 diagonal blocks of rho: no Gram matrix over the matrix units is formed
-or eigensolved (``GnsSpace.gram`` builds one on request, for checks).
+or eigensolved (the test suite builds one, as the construction's oracle).
 The expectation in the cyclic vector reproduces Psi — the mechanism that
 turns the Born rule from an assumption into an identity.
 
@@ -43,8 +43,6 @@ Invariants kept here:
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .algebra import AlgebraDescriptor, AlgebraElement
@@ -54,7 +52,6 @@ from .states import _unit_vector
 __all__ = [
     "StateFunctional",
     "GnsSpace",
-    "matrix_units",
     "build_gns",
     "vacuum_expectation",
     "compression_identity_check",
@@ -133,21 +130,6 @@ class StateFunctional:
         return f"StateFunctional(dim={self.algebra.dimension})"
 
 
-def matrix_units(algebra: AlgebraDescriptor) -> list[tuple[int, int]]:
-    """Index pairs (row, col) of the matrix units spanning the algebra.
-
-    Ordered block by block, row-major inside each block: the unit E_i is
-    the matrix with a single 1 at the i-th pair.  A full n x n algebra
-    has n^2 units; a block algebra has sum(b_k^2).
-    """
-    pairs = []
-    for block in algebra.block_slices():
-        for row in range(block.start, block.stop):
-            for col in range(block.start, block.stop):
-                pairs.append((row, col))
-    return pairs
-
-
 def _block_spectra(matrix: np.ndarray, blocks):
     """eigh of each diagonal block, plus the largest eigenvalue over all."""
     spectra = [np.linalg.eigh(matrix[b, b]) for b in blocks]
@@ -201,14 +183,6 @@ class GnsSpace:
         self._blocks = self.algebra.block_slices()
         self._factors = functional._factors
         self.rank = sum(w.shape[0] * w.shape[1] for w in self._factors)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Gram form G[i, j] = Psi(E_i* E_j) on the ``matrix_units`` basis."""
-        rho = self.functional._rho
-        return _block_diag(
-            [np.kron(np.eye(b.stop - b.start), rho[b, b].T) for b in self._blocks]
-        )
 
     # -- maps -----------------------------------------------------------------
 
@@ -298,7 +272,7 @@ def _compression_residuals(p, a, raw) -> list[float]:
 def compression_identity_check(
     psi: QuantumState,
     element: AlgebraElement,
-    rng=None,
+    rng,
     samples: int = COMPRESSION_SAMPLES,
 ) -> float:
     """Residual of the compression identity p A p = Psi(A) p.
@@ -308,7 +282,6 @@ def compression_identity_check(
     worst residual of both checks.
     """
     psi.algebra.require(element.algebra, "element")
-    rng = rng if rng is not None else np.random.default_rng(0)
     n = psi.algebra.dimension
     # one (sample, re/im, n, n) draw consumes the generator exactly as
     # drawing each sample's real then imaginary part in turn would
@@ -441,7 +414,7 @@ def seminorm_ideal(algebra: AlgebraDescriptor, functionals) -> dict:
     return {
         "basis": basis,
         "ideal_dimension": len(basis),
-        "quotient_dimension": len(matrix_units(algebra)) - len(basis),
+        "quotient_dimension": sum(b * b for b in algebra.block_sizes) - len(basis),
     }
 
 
@@ -487,17 +460,15 @@ def verify_gns(space: GnsSpace, samples: int, rng) -> dict:
         class_r, class_s = space._classes(r), space._classes(s)
         pi_r, pi_s = space._represent(r), space._represent(s)
         vacuum = pi_s @ cyclic
-        # vdot and a Python abs of Python complex values give the per-sample
-        # bits; a stacked dot or np.abs on a complex array round differently
-        for k in range(m):
-            scalar_residual = max(
-                scalar_residual,
-                abs(complex(np.vdot(class_r[k], class_s[k])) - complex(psi_r_star_s[k])),
-            )
-            expectation_residual = max(
-                expectation_residual,
-                abs(complex(np.vdot(cyclic, vacuum[k])) - complex(psi_s[k])),
-            )
+        # a stacked row-times-column product gives np.vdot's bits per sample;
+        # a Python abs of Python complex values keeps the per-sample bits,
+        # where np.abs of a complex array rounds differently
+        scalar = (class_r.conj()[:, None, :] @ class_s[:, :, None])[:, 0, 0]
+        expectation = (cyclic.conj()[None, :] @ vacuum[:, :, None])[:, 0, 0]
+        scalar_residual = max(scalar_residual, *map(abs, (scalar - psi_r_star_s).tolist()))
+        expectation_residual = max(
+            expectation_residual, *map(abs, (expectation - psi_s).tolist())
+        )
         homomorphism_gap = pi_r @ pi_s - space._represent(r @ s)
         homomorphism_residual = max(
             homomorphism_residual, float(np.abs(homomorphism_gap).max(initial=0.0))

@@ -126,7 +126,7 @@ def measure(phi: ElementaryState, inst: Instrument, element: AlgebraElement, rng
     return value, phi
 
 
-def run_sequence(phi0: ElementaryState, plan, rng=None) -> list[MeasurementRecord]:
+def run_sequence(phi0: ElementaryState, plan, rng) -> list[MeasurementRecord]:
     """Execute a measurement plan, returning the transcript.
 
     ``plan`` is a sequence of (Instrument, AlgebraElement) pairs.  The

@@ -6,11 +6,9 @@ truncation, and the pairing expansion over the closed-form two-point
 kernel — and the library trusts the closed form only because the routes
 agree.  On top sit the damped-projector limits, the Gaussian generating
 functional of a classical source, and its finite-difference functional
-derivatives.
-
-``propagator_quadrature``, the energy-integral route kept for validation,
-is the package's only user of scipy: it imports ``scipy.integrate`` on its
-first call, so importing this module (or the CLI) does not load scipy.
+derivatives.  The test suite also checks the closed-form kernel against
+an energy-integral quadrature and the hafnian against an explicit sum
+over the pairings; both oracles live beside those tests.
 """
 
 from __future__ import annotations
@@ -30,10 +28,8 @@ __all__ = [
     "TimeGrid",
     "SourceFunction",
     "two_point",
-    "perfect_matchings",
     "wick_green",
     "fock_oracle_green",
-    "propagator_quadrature",
     "ground_projector_limit",
     "hamiltonian_sandwich_residual",
     "damped_ladder_magnitude",
@@ -49,8 +45,6 @@ MAX_WICK_ORDER = 12
 MAX_FOCK_CUTOFF = 512
 # levels the oracle keeps above the order when no cutoff is given
 FOCK_MARGIN = 6
-# the i*eps regulator of propagator_quadrature's energy integral
-QUADRATURE_EPSILON = 1e-6
 
 
 class CoarseGridWarning(UserWarning):
@@ -102,9 +96,9 @@ def two_point(t1: float, t2: float, omega: float) -> complex:
     """Time-ordered vacuum two-point function of the position operator.
 
     Closed form exp(-i omega |t1 - t2|) / (2 omega), symmetric in its
-    time arguments.  Its validity rests on the agreement of the
-    energy-integral quadrature and the Fock-truncation oracle, both kept
-    in this module and compared in the test suite.
+    time arguments.  Its validity rests on its agreement with the
+    Fock-truncation oracle, kept in this module, and with an energy-integral
+    quadrature that the test suite keeps.
     """
     _check_omega(omega)
     return complex(_kernel(t1 - t2, omega))
@@ -113,26 +107,6 @@ def two_point(t1: float, t2: float, omega: float) -> complex:
 def _kernel(delta_t, omega: float) -> np.ndarray:
     """exp(-i omega |t|) / (2 omega), elementwise over the time differences."""
     return np.exp(-1j * omega * np.abs(delta_t)) / (2.0 * omega)
-
-
-def perfect_matchings(indices) -> list[list[tuple]]:
-    """All perfect matchings of an even index set (smallest-first recursion).
-
-    Factorial in size; kept as the explicit-sum oracle for ``wick_green``.
-    """
-    indices = list(indices)
-    if len(indices) % 2:
-        raise ValueError("perfect matchings need an even number of indices")
-    if not indices:
-        return [[]]
-    first, rest = indices[0], indices[1:]
-    matchings = []
-    for pick in range(len(rest)):
-        partner = rest[pick]
-        remaining = rest[:pick] + rest[pick + 1 :]
-        for tail in perfect_matchings(remaining):
-            matchings.append([(first, partner)] + tail)
-    return matchings
 
 
 def wick_green(times, omega: float) -> complex:
@@ -144,8 +118,7 @@ def wick_green(times, omega: float) -> complex:
     partners p of m = min S, with haf of the empty set equal to 1.  Each
     subset's hafnian is computed once and shared by every partial pairing
     that leaves it, so the cost is at most n 2^n steps, not the (n-1)!!
-    pairings of ``perfect_matchings``.  Orders above MAX_WICK_ORDER are
-    rejected.
+    pairings one by one.  Orders above MAX_WICK_ORDER are rejected.
     """
     times = _finite_times(times)
     _check_omega(omega)
@@ -200,60 +173,6 @@ def fock_oracle_green(times, omega: float, cutoff: int | None = None) -> complex
     for t in sorted(times, reverse=True):
         product = product @ fock.position_operator(t)
     return complex(product[0, 0])
-
-
-def propagator_quadrature(t1: float, t2: float, omega: float) -> complex:
-    """Energy-integral route to the two-point kernel, for validation only.
-
-    Evaluates (1/2pi) * integral dE exp(-iE(t1-t2)) / (omega^2 - E^2 - i eps)
-    by real-axis quadrature with a small finite regulator.  The integrand
-    is even in E, so only the cosine part survives; the Lorentzian spike
-    at E = omega is resolved by splitting the axis and hinting the peak.
-    Returns the regulated kernel, which tends to i/(2 omega) *
-    exp(-i omega |t|) as the regulator vanishes.
-
-    Imports ``scipy.integrate`` on the first call; no other route needs it.
-    """
-    from scipy import integrate
-
-    _check_omega(omega)
-    t = abs(t1 - t2)
-    delta = 1e-2 * omega
-
-    def base_real(e):
-        d = omega * omega - e * e
-        return d / (d * d + QUADRATURE_EPSILON * QUADRATURE_EPSILON)
-
-    def base_imag(e):
-        d = omega * omega - e * e
-        return QUADRATURE_EPSILON / (d * d + QUADRATURE_EPSILON * QUADRATURE_EPSILON)
-
-    quad_opts = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
-    total = 0.0 + 0.0j
-    for base, unit in ((base_real, 1.0 + 0.0j), (base_imag, 0.0 + 1.0j)):
-        inner, _ = integrate.quad(
-            lambda e: base(e) * math.cos(e * t), 0.0, omega - delta, **quad_opts
-        )
-        with warnings.catch_warnings():
-            # the regulator spike is 1e6 tall and 1e-6 wide: roundoff noise
-            # beyond the requested tolerance is expected and harmless there
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            spike, _ = integrate.quad(
-                lambda e: base(e) * math.cos(e * t),
-                omega - delta,
-                omega + delta,
-                points=[omega],
-                **quad_opts,
-            )
-        if t > 0:
-            tail, _ = integrate.quad(
-                base, omega + delta, np.inf, weight="cos", wvar=t, limit=400
-            )
-        else:
-            tail, _ = integrate.quad(base, omega + delta, np.inf, **quad_opts)
-        total += unit * (inner + spike + tail)
-    # even integrand: the half-axis doubles; 1/(2 pi) normalization
-    return complex(total / np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -383,8 +383,8 @@ def is_stable(phi: ElementaryState, element: AlgebraElement) -> bool:
 def check_character_properties(
     phi: ElementaryState,
     ctx: Context,
-    samples: int = 20,
-    rng=None,
+    samples: int,
+    rng,
 ) -> dict:
     """Verify the defining character properties on random context elements.
 
@@ -393,7 +393,6 @@ def check_character_properties(
     squares, spectrum membership of values, spectrum exhaustion across
     the context's character indices, multiplicativity and linearity.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     layer = phi.ensure_layer(ctx)
     n = ctx.dimension
     algebra = ctx.algebra

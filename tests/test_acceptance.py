@@ -16,7 +16,6 @@ from contextqm.algebra import (
     AlgebraElement,
     adjoint,
     norm,
-    spectral_decomposition,
 )
 from contextqm.contexts import (
     ContextRegistry,
@@ -34,7 +33,6 @@ from contextqm.gns import (
     StateFunctional,
     build_gns,
     compression_identity_check,
-    seminorm_ideal,
     vacuum_expectation,
 )
 from contextqm.measurement import (
@@ -62,27 +60,7 @@ from contextqm.states import (
     construct_state,
     is_stable,
 )
-
-
-def _random_unit(n, rng):
-    raw = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return raw / np.linalg.norm(raw)
-
-
-def _random_hermitian(n, rng, algebra=None):
-    algebra = algebra or AlgebraDescriptor(n)
-    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    if not algebra.is_full:
-        raw = raw * algebra.block_mask()
-    return AlgebraElement(0.5 * (raw + raw.conj().T), algebra)
-
-
-def _random_element(n, rng, algebra=None):
-    algebra = algebra or AlgebraDescriptor(n)
-    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    if not algebra.is_full:
-        raw = raw * algebra.block_mask()
-    return AlgebraElement(raw, algebra)
+from conftest import random_element, random_hermitian, random_unit_vector
 
 
 def test_criterion_01_character_axioms():
@@ -93,7 +71,7 @@ def test_criterion_01_character_axioms():
     worst = 0.0
     for trial in range(100):
         n = 2 + trial % 7
-        ctx = context_from_observable(_random_hermitian(n, rng), registry)
+        ctx = context_from_observable(random_hermitian(n, rng), registry)
         index = int(rng.integers(n))
         phi = construct_state({ctx.id: index}, registry)
         report = check_character_properties(phi, ctx, samples=8, rng=rng)
@@ -184,7 +162,7 @@ def test_criterion_04_measurement_reproducibility():
     sequences = 10_000
     for seed in range(sequences):
         rng = np.random.default_rng(seed)
-        phi = ElementaryState(rng=rng, attached_vector=_random_unit(3, rng))
+        phi = ElementaryState(rng=rng, attached_vector=random_unit_vector(3, rng))
         # (a) immediate same-instrument repetition
         v1, phi = measure(phi, inst1, shared, rng=rng)
         v2, phi = measure(phi, inst1, shared, rng=rng)
@@ -216,11 +194,11 @@ def test_criterion_05_gns_residuals_and_ranks():
     for trial in range(1000):
         n = 2 + trial % 5
         alg = AlgebraDescriptor(n)
-        vec = _random_unit(n, rng)
+        vec = random_unit_vector(n, rng)
         functional = StateFunctional.from_vector(vec, alg)
         space = build_gns(functional)
         assert space.rank == n
-        element = _random_element(n, rng)
+        element = random_element(n, rng)
         residual = abs(vacuum_expectation(space, element) - functional.value(element))
         worst_exp = max(worst_exp, residual)
         psi = QuantumState(vec, alg)
@@ -257,8 +235,8 @@ def test_criterion_06_norm_axioms():
     for trial in range(1000):
         alg = shapes[trial % len(shapes)]
         n = alg.dimension
-        a = _random_element(n, rng, alg)
-        b = _random_element(n, rng, alg)
+        a = random_element(n, rng, alg)
+        b = random_element(n, rng, alg)
         star_gap = abs(norm(adjoint(a) @ a) - norm(a) ** 2)
         worst_star = max(worst_star, star_gap / max(1.0, norm(a) ** 2))
         worst_axiom = max(
@@ -271,8 +249,8 @@ def test_criterion_06_norm_axioms():
     worst_cs = 0.0
     for _ in range(200):
         alg = AlgebraDescriptor(4)
-        f = StateFunctional.from_vector(_random_unit(4, rng), alg)
-        r, s = _random_element(4, rng), _random_element(4, rng)
+        f = StateFunctional.from_vector(random_unit_vector(4, rng), alg)
+        r, s = random_element(4, rng), random_element(4, rng)
         cross = abs(f.value(adjoint(r) @ s)) ** 2
         bound = np.real(f.value(adjoint(r) @ r)) * np.real(f.value(adjoint(s) @ s))
         worst_cs = max(worst_cs, cross - bound)

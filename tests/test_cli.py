@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from contextqm import cli, gns, oscillator
 from contextqm.cli import main
 from contextqm.reports import _csv_cell, render_json
-from conftest import ChoiceSpy
+from conftest import ChoiceSpy, perfect_matchings
 
 
 @pytest.fixture
@@ -143,6 +143,31 @@ class TestSpinDemo:
         monkeypatch.setattr(np.random, "default_rng", spying_default_rng)
         assert runner.invoke(main, args).stdout == expected
         assert len(spies) == 4 and sum(spy.choices for spy in spies) == 0
+
+    @pytest.mark.parametrize("theta", ["3.141592653589793", "1e-9"], ids=["pi", "1e-9"])
+    def test_a_run_without_minority_draws_passes(self, runner, theta):
+        # the band is the spread of a frequency drawn from the law sampled,
+        # so a minority outcome of weight 1e-32 or 2.5e-19 that is never
+        # drawn does not fail the run, and no weight exceeds 1
+        args = ["spin-demo", "--theta", theta, "-n", "1000", "--seed", "0"]
+        row = _report(runner.invoke(main, args))["results"]["angles"][0]
+        assert row["within_band"] is True
+        assert 0.0 <= row["exact_probability_plus"] <= 1.0
+        assert row["standard_error"] == math.sqrt(
+            row["exact_probability_plus"] * (1 - row["exact_probability_plus"]) / 1000
+        )
+
+    @pytest.mark.parametrize("bias", [0.005, -0.005])
+    def test_a_biased_sampler_fails_the_band(self, runner, monkeypatch, bias):
+        real_count_draws = cli.count_draws
+
+        def biased(probs, rng, size):
+            return real_count_draws(probs + bias * np.array([1.0, -1.0]), rng, size)
+
+        monkeypatch.setattr(cli, "count_draws", biased)
+        result = runner.invoke(main, ["spin-demo", "-n", "100000", "--seed", "0"])
+        assert result.exit_code == 1
+        assert _strict_json(result.stdout)["results"]["violations"] >= 1
 
 
 class TestKsSearch:
@@ -334,7 +359,7 @@ class TestGreen:
         # pairings contributes (2 omega)^(-n/2)
         for omega in (0.05, 1.0, 1000.0):
             for order in range(0, 13, 2):
-                pairings = len(oscillator.perfect_matchings(range(order)))
+                pairings = len(perfect_matchings(range(order)))
                 expected = pairings * (2.0 * omega) ** (-order / 2)
                 assert cli._pairing_magnitude(order, omega) == pytest.approx(expected, rel=1e-15)
             assert cli._pairing_magnitude(3, omega) == 1.0
@@ -575,8 +600,8 @@ class TestIntegerRanges:
 # then they are retaken from the unchanged parent commit.
 PINNED_REPORTS = {
     "spin-demo": (
-        "0a4d063428e30560a2c239ff5ccbd9f18ca9233e74884cda20229cedf623c192",
-        "ad11b2c5c3b26afdd13cc788fccdb10ddc09484f2a6121138d79556cdd5fd8e0",
+        "973366537227260b46687bc9f1a8d464f8c72467e7507c9862d5047aa5ce2a8b",
+        "dea9af9d9818bd3c39be761300e903daebae9f514010c6c551ff113b1bb17435",
     ),
     "ks-search": (
         "7221ec586d14cf2b9e01c6a1ac7917a48a647df7ec14b5f7e0be555a0154419d",

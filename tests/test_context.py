@@ -27,12 +27,7 @@ from contextqm.contexts import (
 from contextqm.ensembles import QuantumState, ensemble_average, instrument_independence_report
 from contextqm.measurement import Instrument, measure, spin1_squared_observables
 from contextqm.states import Character, ElementaryState, evaluate
-from conftest import random_hermitian, random_unit_vector
-
-
-@pytest.fixture
-def registry():
-    return ContextRegistry()
+from conftest import random_hermitian, random_unit_vector, random_unitary
 
 
 @pytest.fixture
@@ -202,11 +197,6 @@ class TestOneRoute:
         assert all(contains(ctx, member) for member in family)
 
 
-def _unitary(n, rng):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q
-
-
 def _in_frame(q, matrix, alg):
     """q @ matrix @ q^dagger, made exactly Hermitian."""
     rotated = q @ matrix @ q.conj().T
@@ -222,7 +212,7 @@ class TestFamilyAdmission:
         # bound on its norm rejected these families
         rng = np.random.default_rng(3)
         alg = AlgebraDescriptor(4)
-        q = _unitary(4, rng)
+        q = random_unitary(4, rng)
         family = [
             _in_frame(q, np.diag(scale * rng.permutation(np.arange(4.0))), alg),
             _in_frame(q, np.diag(scale * rng.normal(size=4)), alg),
@@ -260,7 +250,7 @@ class TestFamilyAdmission:
         rng = np.random.default_rng(seed)
         scale = 10.0**exponent
         alg = AlgebraDescriptor(n)
-        q = _unitary(n, rng)
+        q = random_unitary(n, rng)
         # eigenvalues at least scale / 2 apart: the first member fixes the basis
         spread = rng.permutation(np.arange(n) + rng.uniform(0, 0.5, n))
         first = _in_frame(q, np.diag(scale * spread), alg)
@@ -504,11 +494,6 @@ def _fixed_basis():
     return (r1 @ r2) * np.array([1.0, 1j, -1j])
 
 
-def _random_unitary(n, rng):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q
-
-
 def _rotation(h):
     """t -> exp(i t h) for a Hermitian matrix h, in closed form."""
     values, vectors = np.linalg.eigh(h)
@@ -568,9 +553,9 @@ class TestSortedKeyLookup:
     def test_returns_what_the_scan_returns(self, seed, n, others):
         rng = np.random.default_rng(seed)
         alg = AlgebraDescriptor(n)
-        base = _random_unitary(n, rng)
+        base = random_unitary(n, rng)
         size = n * n
-        bases = [_random_unitary(n, rng) for _ in range(others)] + [base]
+        bases = [random_unitary(n, rng) for _ in range(others)] + [base]
         for scale in (0.1, 0.5, 0.9, 1.0, 1.1, 1000.0):
             # fingerprints within, at and beyond tolerance, down to 1000 tol
             rotation = _random_rotation(n, rng)
@@ -594,7 +579,7 @@ class TestSortedKeyLookup:
     def test_earliest_candidate_wins_over_a_closer_sum(self):
         rng = np.random.default_rng(5)
         alg = AlgebraDescriptor(4)
-        a = _random_unitary(4, rng)
+        a = random_unitary(4, rng)
         rotation = _random_rotation(4, rng)
         probe = 1e-6
         t = probe * 1.5 * FINGERPRINT_TOL / _fingerprint_gap(a, rotation(probe) @ a)
@@ -678,12 +663,12 @@ class TestBasesMatch:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             n = 1 + seed % 6
-            basis = _random_unitary(n, rng)
+            basis = random_unitary(n, rng)
             phases = np.exp(2j * np.pi * rng.uniform(size=n))
             moved = basis[:, rng.permutation(n)] * phases
             rotation = _random_rotation(n, rng)
             noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            candidates = [moved, _random_unitary(n, rng)]
+            candidates = [moved, random_unitary(n, rng)]
             for scale in (0.5, 1.0, 2.0):
                 t = scale * MATCH_TOL
                 # a unitary rotation by exp(i t H), and a non-unitary nudge
@@ -699,7 +684,7 @@ class TestRegistryTolerance:
     def test_distinct_bases_stay_apart_and_repeats_match(self):
         rng = np.random.default_rng(3)
         alg = AlgebraDescriptor(4)
-        bases = [_random_unitary(4, rng) for _ in range(6)]
+        bases = [random_unitary(4, rng) for _ in range(6)]
         registry = ContextRegistry()
         ids = [registry.register(b, alg).id for b in bases + bases]
         assert ids == [f"ctx-{k}" for k in range(6)] * 2

@@ -37,12 +37,7 @@ from contextqm.states import (
     construct_stable_on,
     is_stable,
 )
-from conftest import ChoiceSpy, random_hermitian, random_unit_vector
-
-
-@pytest.fixture
-def registry():
-    return ContextRegistry()
+from conftest import ChoiceSpy, random_hermitian, random_unit_vector, random_unitary
 
 
 def _x_shared_spin1_contexts(registry, phi_angle=0.7):
@@ -60,20 +55,15 @@ def _x_shared_spin1_contexts(registry, phi_angle=0.7):
     return base[0], c1, c2
 
 
-def _random_unitary(n, rng):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q
-
-
 def _shared_pair(n, rng, registry, scale):
     """An observable with repeated eigenvalues and two maximal contexts
     containing it, whose bases differ inside each of its eigenspaces."""
     values = scale * rng.integers(-1, max(2, n - 1), size=n).astype(float)
-    frame = _random_unitary(n, rng)
+    frame = random_unitary(n, rng)
     turned = frame.copy()
     for value in np.unique(values):
         block = np.flatnonzero(values == value)
-        turned[:, block] = frame[:, block] @ _random_unitary(block.size, rng)
+        turned[:, block] = frame[:, block] @ random_unitary(block.size, rng)
     algebra = AlgebraDescriptor(n)
     shared = AlgebraElement((frame * values) @ frame.conj().T, algebra)
     generic = np.arange(n) + 0.5

@@ -15,7 +15,6 @@ from contextqm.gns import (
     build_gns,
     class_equality_check,
     compression_identity_check,
-    matrix_units,
     pure_state_trials,
     seminorm_ideal,
     vacuum_expectation,
@@ -28,6 +27,30 @@ def _unit_element(row, col, algebra):
     m = np.zeros((algebra.dimension, algebra.dimension), dtype=complex)
     m[row, col] = 1.0
     return AlgebraElement(m, algebra)
+
+
+def matrix_units(algebra):
+    """Index pairs (row, col) of the matrix units spanning the algebra.
+
+    Ordered block by block, row-major inside each block: the unit E_i is
+    the matrix with a single 1 at the i-th pair.  A full n x n algebra
+    has n^2 units; a block algebra has sum(b_k^2).
+    """
+    return [
+        (row, col)
+        for block in algebra.block_slices()
+        for row in range(block.start, block.stop)
+        for col in range(block.start, block.stop)
+    ]
+
+
+def gram_form(space):
+    """Gram form G[i, j] = Psi(E_i* E_j) on the ``matrix_units`` basis, in
+    closed form: block-diag_b(I_{n_b} (x) rho_b^T)."""
+    rho = space.functional._rho
+    return gns._block_diag(
+        [np.kron(np.eye(b.stop - b.start), rho[b, b].T) for b in space.algebra.block_slices()]
+    )
 
 
 class TestStateFunctional:
@@ -132,20 +155,19 @@ class TestGramMatrix:
             f = StateFunctional.from_vector(
                 random_unit_vector(alg.dimension, rng), alg
             )
-            space = build_gns(f)
+            gram = gram_form(build_gns(f))
             units = matrix_units(alg)
             for i, (r1, c1) in enumerate(units):
                 ei = _unit_element(r1, c1, alg)
                 for j, (r2, c2) in enumerate(units):
                     ej = _unit_element(r2, c2, alg)
                     direct = f.value(adjoint(ei) @ ej)
-                    assert abs(space.gram[i, j] - direct) <= 1e-12
+                    assert abs(gram[i, j] - direct) <= 1e-12
 
     def test_gram_positive_semidefinite(self, rng):
         alg = AlgebraDescriptor(4)
         f = StateFunctional.from_vector(random_unit_vector(4, rng), alg)
-        space = build_gns(f)
-        eigs = np.linalg.eigvalsh(space.gram)
+        eigs = np.linalg.eigvalsh(gram_form(build_gns(f)))
         assert eigs.min() >= -1e-12
 
 
@@ -485,6 +507,7 @@ class TestSeminormIdeal:
             out = seminorm_ideal(alg, family)
             basis = out["basis"]
             assert len(basis) == out["ideal_dimension"] > 0
+            assert out["quotient_dimension"] == len(matrix_units(alg)) - len(basis)
             for r in basis:
                 for f in family:
                     assert abs(f.value(adjoint(r) @ r)) <= 1e-12

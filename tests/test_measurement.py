@@ -42,24 +42,6 @@ from contextqm.states import ElementaryState, is_stable
 from conftest import random_hermitian, random_unit_vector
 
 
-@pytest.fixture
-def registry():
-    return ContextRegistry()
-
-
-@pytest.fixture
-def shared_setup(registry):
-    alg = AlgebraDescriptor(3)
-    gen1 = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg)
-    gen2 = AlgebraElement(
-        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]), alg
-    )
-    ctx1 = context_from_observable(gen1, registry)
-    ctx2 = context_from_observable(gen2, registry)
-    shared = AlgebraElement.from_diagonal([5.0, 5.0, 7.0], alg)
-    return alg, ctx1, ctx2, shared
-
-
 class TestSingleMeasurement:
     def test_same_instrument_repeats_exactly(self, shared_setup):
         alg, ctx1, _, _ = shared_setup

@@ -27,25 +27,6 @@ from contextqm.states import (
 from conftest import ChoiceSpy, random_hermitian, random_unit_vector
 
 
-@pytest.fixture
-def registry():
-    return ContextRegistry()
-
-
-@pytest.fixture
-def shared_setup(registry):
-    """Two 3-dim contexts sharing the degenerate observable diag(5,5,7)."""
-    alg = AlgebraDescriptor(3)
-    gen1 = AlgebraElement.from_diagonal([3.0, 2.0, 1.0], alg)
-    gen2 = AlgebraElement(
-        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]), alg
-    )
-    ctx1 = context_from_observable(gen1, registry)
-    ctx2 = context_from_observable(gen2, registry)
-    shared = AlgebraElement.from_diagonal([5.0, 5.0, 7.0], alg)
-    return alg, ctx1, ctx2, shared
-
-
 class TestEvaluate:
     def test_explicit_assignment_reads_off_eigenvalue(self, registry):
         alg = AlgebraDescriptor(3)

@@ -1,7 +1,8 @@
 """The documented surface: README examples run, every export resolves with
 its annotations, every name the benchmark traces exists, one module
 decides which algebra an input belongs to, one helper forms the Born
-weights, and no default goes unpassed."""
+weights, no module imports scipy, and every default is both taken and
+overridden somewhere."""
 
 import ast
 import importlib
@@ -132,6 +133,34 @@ def test_only_the_algebra_module_compares_algebras():
     assert found == []
 
 
+def _scipy_imports(path: Path) -> list[str]:
+    """``file:line`` of each import of scipy or of one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_scipy_is_neither_imported_nor_a_runtime_dependency():
+    # scipy serves only the tests' oracles: the package runs on numpy and click
+    found = [
+        hit
+        for path in sorted((ROOT / "src" / "contextqm").glob("*.py"))
+        for hit in _scipy_imports(path)
+    ]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w-]+", d)[0] for d in project["dependencies"]] == ["numpy", "click"]
+
+
 def _squared_magnitudes(path: Path) -> list[str]:
     """``file:function`` of each ``abs(...) ** 2``, named by the innermost
     function that holds it."""
@@ -213,18 +242,30 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
     return by_keyword or by_position
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
-    # a default that no call overrides is an option no caller needs; drop it
+def _defaults_where(passed_by) -> list[str]:
+    """``file:function(parameter=...)`` of each defaulted parameter for which
+    ``passed_by`` holds.  It gets one bool per call in the README, ``src``,
+    tests and perfbench: whether that call passes the parameter."""
     sources = _readme_python_blocks() + [
         path.read_text(encoding="utf-8")
         for folder in ("src", "tests", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     calls = _calls_by_name(sources)
-    unpassed = [
+    return [
         f"{path.name}:{function}({parameter}=...)"
         for path in sorted((ROOT / "src" / "contextqm").glob("*.py"))
         for function, parameter, position in _defaulted_parameters(path)
-        if not any(_passes(call, parameter, position) for call in calls.get(function, ()))
+        if passed_by([_passes(call, parameter, position) for call in calls.get(function, ())])
     ]
-    assert unpassed == []
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is an option no caller needs; drop it
+    assert _defaults_where(lambda passed: not any(passed)) == []
+
+
+def test_no_default_is_overridden_by_every_call():
+    # a default that every call overrides is a value no caller takes: the
+    # parameter is required
+    assert _defaults_where(lambda passed: passed and all(passed)) == []
