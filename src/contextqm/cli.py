@@ -29,7 +29,6 @@ from .measurement import (
 )
 from .oscillator import (
     FOCK_MARGIN,
-    MAX_FOCK_CUTOFF,
     MAX_WICK_ORDER,
     fock_oracle_green,
     wick_green,
@@ -241,20 +240,15 @@ def ks_search(ray_file, pair_rule, seed):
     default=None,
     help="Comma-separated times (count must equal --n); default: seeded uniform in [-5, 5].",
 )
-@click.option(
-    "--cutoff",
-    type=int,
-    default=None,
-    help=f"Truncation size (default n+6, at most {MAX_FOCK_CUTOFF}).",
-)
 @experiment
-def green(order, omega, times, cutoff, seed):
+def green(order, omega, times, seed):
     """Time-ordered n-point function along both routes, with their gap.
 
     Emits the pairing-expansion value, the truncated-matrix value, and
     the absolute difference; exits nonzero when the routes disagree
-    beyond 1e-8 times (n-1)!! (2 omega)^(-n/2), the sum of the pairing
-    terms' magnitudes.  Odd orders are identically zero.
+    beyond (1e-8 + 3n u omega max|t|) times (n-1)!! (2 omega)^(-n/2), the
+    sum of the pairing terms' magnitudes, with u = 2^-53 the unit
+    roundoff.  Odd orders are identically zero.
     """
     if times is not None:
         try:
@@ -268,11 +262,11 @@ def green(order, omega, times, cutoff, seed):
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         time_list = [float(t) for t in rng.uniform(-5.0, 5.0, size=order)]
-    try:  # the routes reject a bad omega, a non-finite time and a bad cutoff
+    try:  # the routes reject a bad omega and a non-finite time
         # an overflow is reported below, as a non-finite route value
         with np.errstate(over="ignore", invalid="ignore"):
             wick = wick_green(time_list, omega)
-            fock = fock_oracle_green(time_list, omega, cutoff)
+            fock = fock_oracle_green(time_list, omega)
             scale = _pairing_magnitude(order, omega)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
@@ -286,7 +280,7 @@ def green(order, omega, times, cutoff, seed):
         "n": order,
         "omega": omega,
         "times": time_list,
-        "cutoff": cutoff if cutoff is not None else order + FOCK_MARGIN,
+        "cutoff": order + FOCK_MARGIN,
     }
     results = {
         "wick": {"re": wick.real, "im": wick.imag},
@@ -301,8 +295,12 @@ def green(order, omega, times, cutoff, seed):
         "fock_im": fock.imag,
         "abs_difference": difference,
     }
+    # the routes round their phases apart: the Fock route's n phases omega*t
+    # are each off by at most u*omega*max|t|, the pairing route's n/2 kernel
+    # phases omega*|t_i - t_j| by at most 4u*omega*max|t| (u = 2**-53)
+    phase_error = 3 * order * 2.0**-53 * omega * max(map(abs, time_list), default=0.0)
     # a NaN gap fails too
-    return parameters, results, [row], difference <= GREEN_THRESHOLD * scale
+    return parameters, results, [row], difference <= scale * (GREEN_THRESHOLD + phase_error)
 
 
 def _pairing_magnitude(order: int, omega: float) -> float:

@@ -4,11 +4,14 @@ Vacuum expectations of products of position operators are computed along
 two independent routes — explicit matrix products on a finite Fock
 truncation, and the pairing expansion over the closed-form two-point
 kernel — and the library trusts the closed form only because the routes
-agree.  On top sit the damped-projector limits, the Gaussian generating
-functional of a classical source, and its finite-difference functional
-derivatives.  The test suite also checks the closed-form kernel against
-an energy-integral quadrature and the hafnian against an explicit sum
-over the pairings; both oracles live beside those tests.
+agree.  The truncation is exact, not an approximation: position moves one
+level up or down, so a vacuum-to-vacuum path of n steps never climbs above
+level n/2, and any truncation keeping that level gives the same products.
+On top sit the damped-projector limits, the Gaussian generating functional
+of a classical source, and its finite-difference functional derivatives.
+The test suite also checks the closed-form kernel against an
+energy-integral quadrature and the hafnian against an explicit sum over
+the pairings; both oracles live beside those tests.
 """
 
 from __future__ import annotations
@@ -40,10 +43,8 @@ __all__ = [
 # not a cost limit (the hafnian recursion scales as n 2^n): the cap is the
 # CLI's ``green --n`` range, which the CLI tests pin
 MAX_WICK_ORDER = 12
-# the oracle multiplies dense cutoff x cutoff complex matrices: 512 levels
-# take 4 MiB each, and any cutoff above the order is already exact
-MAX_FOCK_CUTOFF = 512
-# levels the oracle keeps above the order when no cutoff is given
+# levels the oracle keeps above the order: any margin is exact (n/2 + 1
+# levels suffice), and 6 keeps the bits of every report taken so far
 FOCK_MARGIN = 6
 
 
@@ -75,14 +76,11 @@ class FockTruncation:
         if cutoff < 2:
             raise ValueError("cutoff must be at least 2")
         _check_omega(omega)
-        self.cutoff = int(cutoff)
         self.omega = float(omega)
         self.lowering = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(
             np.complex128
         )
         self.raising = self.lowering.conj().T
-        self.number = self.raising @ self.lowering
-        self.hamiltonian = omega * (self.number + 0.5 * np.eye(cutoff))
 
     def position_operator(self, t: float) -> np.ndarray:
         """Heisenberg position at time t."""
@@ -147,27 +145,19 @@ def wick_green(times, omega: float) -> complex:
     return hafnian((1 << n) - 1)
 
 
-def fock_oracle_green(times, omega: float, cutoff: int | None = None) -> complex:
+def fock_oracle_green(times, omega: float) -> complex:
     """n-point correlation by explicit truncated matrix products.
 
     Times are applied latest-leftmost (chronological ordering); the
     result is the vacuum-vacuum matrix element, i.e. the coefficient
     multiplying the ground projector after compressing the ordered
-    product.  Position couples adjacent levels only, so any cutoff above
-    the order is exact; the default keeps FOCK_MARGIN levels above it.  A
-    cutoff above MAX_FOCK_CUTOFF is rejected.
+    product.  Position couples adjacent levels only, so the n steps of a
+    path from the vacuum back to it never climb above level n/2: the
+    n + FOCK_MARGIN levels kept are exact, not an approximation.
     """
     times = _finite_times(times)
     _check_omega(omega)
-    n = len(times)
-    if cutoff is None:
-        cutoff = n + FOCK_MARGIN
-    if cutoff < n + 2:
-        raise ValueError(f"cutoff {cutoff} too small for an order-{n} correlation")
-    if cutoff > MAX_FOCK_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} exceeds the cap {MAX_FOCK_CUTOFF}")
-    if n == 0:
-        return 1.0 + 0.0j
+    cutoff = len(times) + FOCK_MARGIN
     fock = FockTruncation(cutoff, omega)
     product = np.eye(cutoff, dtype=np.complex128)
     for t in sorted(times, reverse=True):
@@ -202,8 +192,10 @@ def ground_projector_limit(r: float, cutoff: int) -> tuple[np.ndarray, float]:
 def hamiltonian_sandwich_residual(r: float, omega: float, cutoff: int) -> float:
     """Norm of exp(-rN) H exp(-rN) - (omega/2) exp(-2rN).
 
-    The compressed energy tends to the ground energy times the compressed
-    identity as the damping grows; on the truncation the residual is
+    H = omega (N + 1/2) is diagonal in the number basis, so the product is
+    formed from this closed form, level by level.  The compressed energy
+    tends to the ground energy times the compressed identity as the
+    damping grows; on the truncation the residual is
     omega * max_k k exp(-2rk), dominated by the first excited level once
     r is order one.
     """
@@ -223,16 +215,19 @@ def damped_ladder_magnitude(
     l: int,
     r1: float,
     r2: float,
-    cutoff: int,
     functional: StateFunctional,
 ) -> float:
     """|Psi(exp(-r1 N) (a+)^k (a-)^l exp(-r2 N))| on the truncation.
 
-    The damping factors suppress the ladder words by exp(-r1 k - r2 l)
-    up to a cutoff-dependent constant; the decay is what lets weak limits
-    of damped words vanish level by level.  k = l = 0 is excluded — there
-    is nothing to suppress, and a functional of any algebra but the full
-    cutoff x cutoff truncation is refused.
+    The truncation is the functional's algebra: its dimension is the
+    number of levels kept, and a functional of a block algebra is refused.
+    The truncated word is exactly the compression of the untruncated one,
+    for the reason ``fock_oracle_green`` is exact: each factor moves one
+    level, and (a-)^l only descends before (a+)^k only climbs, so no path
+    leaves the kept levels and comes back.  The damping factors suppress the ladder words by
+    exp(-r1 k - r2 l) up to a cutoff-dependent constant; the decay is what
+    lets weak limits of damped words vanish level by level.  k = l = 0 is
+    excluded — there is nothing to suppress.
     """
     if k < 0 or l < 0:
         raise ValueError("ladder powers must be nonnegative")
@@ -241,6 +236,7 @@ def damped_ladder_magnitude(
     for name, r in (("r1", r1), ("r2", r2)):
         if not math.isfinite(r):
             raise ValueError(f"{name} must be finite, got {r!r}")
+    cutoff = functional.algebra.dimension
     AlgebraDescriptor(cutoff).require(functional.algebra, "functional")
     fock = FockTruncation(cutoff)
     damp1 = np.diag(np.exp(-r1 * np.arange(cutoff, dtype=float)))

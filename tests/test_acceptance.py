@@ -338,7 +338,7 @@ def test_criterion_09_damped_exponential_limits():
     tracial = OscFunctional.tracial(AlgebraDescriptor(cutoff))
     values = {}
     for r in (2.0, 4.0, 8.0):
-        m = damped_ladder_magnitude(1, 1, r, r, cutoff, tracial)
+        m = damped_ladder_magnitude(1, 1, r, r, tracial)
         assert m <= math.exp(-2 * r)
         values[r] = m
     assert values[4.0] / values[2.0] == pytest.approx(math.exp(-4.0), rel=0.1)

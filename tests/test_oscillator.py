@@ -10,7 +10,6 @@ from scipy import integrate
 from contextqm.algebra import AlgebraDescriptor
 from contextqm.gns import StateFunctional
 from contextqm.oscillator import (
-    MAX_FOCK_CUTOFF,
     MAX_WICK_ORDER,
     CoarseGridWarning,
     FockTruncation,
@@ -98,8 +97,9 @@ class TestFockTruncation:
 
     def test_hamiltonian_levels(self):
         ft = FockTruncation(5, omega=2.0)
+        hamiltonian = 2.0 * (ft.raising @ ft.lowering + 0.5 * np.eye(5))
         expected = 2.0 * (np.arange(5) + 0.5)
-        assert np.allclose(np.diag(ft.hamiltonian), expected, atol=1e-12)
+        assert np.allclose(hamiltonian, np.diag(expected), atol=1e-12)
 
     def test_position_operator_hermitian_at_all_times(self):
         ft = FockTruncation(7, omega=0.8)
@@ -230,22 +230,28 @@ class TestFockOracle:
                 rhs = wick_green(times, omega)
                 assert abs(lhs - rhs) <= 1e-8
 
-    def test_cutoff_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            fock_oracle_green([0.0, 0.0], 1.0, cutoff=2)
+    def test_truncation_keeping_level_n_over_2_is_exact(self, rng):
+        # a vacuum-to-vacuum path of n position steps never climbs above
+        # level n/2, so every truncation that keeps it gives the oracle's
+        # value up to rounding, and one that drops it (an even n of at
+        # least 4) loses the paths that reach it
+        omega = 0.7
 
-    def test_insensitive_to_cutoff_increase(self):
-        times = [0.2, -0.4, 0.9, 0.1]
-        a = fock_oracle_green(times, 1.0, cutoff=10)
-        b = fock_oracle_green(times, 1.0, cutoff=16)
-        assert abs(a - b) <= 1e-10
+        def vacuum_entry(times, cutoff):
+            fock = FockTruncation(cutoff, omega)
+            product = np.eye(cutoff, dtype=np.complex128)
+            for t in times:
+                product = product @ fock.position_operator(t)
+            return product[0, 0]
 
-    def test_cutoff_above_the_cap_rejected(self):
-        times = [0.2, -0.4]
-        at_cap = fock_oracle_green(times, 1.0, cutoff=MAX_FOCK_CUTOFF)
-        assert abs(at_cap - fock_oracle_green(times, 1.0)) <= 1e-10
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            fock_oracle_green(times, 1.0, cutoff=MAX_FOCK_CUTOFF + 1)
+        for n in range(MAX_WICK_ORDER + 1):
+            times = sorted(rng.uniform(-5.0, 5.0, size=n), reverse=True)
+            expected = fock_oracle_green(times, omega)
+            terms = math.prod(range(n - 1, 0, -2)) * (2.0 * omega) ** (-n / 2)
+            for cutoff in range(max(2, n // 2 + 1), n + 21):
+                assert abs(vacuum_entry(times, cutoff) - expected) <= 1e-14 * terms
+            if n % 2 == 0 and n >= 4:
+                assert abs(vacuum_entry(times, n // 2) - expected) > 1e-3 * terms
 
 
 class TestGroundProjectorLimit:
@@ -292,7 +298,7 @@ class TestDampedLadder:
         # e^(-2) up to that constant.
         tr = StateFunctional.tracial(AlgebraDescriptor(10))
         values = {
-            r: damped_ladder_magnitude(1, 1, r, r, 10, tr) for r in (2.0, 4.0, 8.0)
+            r: damped_ladder_magnitude(1, 1, r, r, tr) for r in (2.0, 4.0, 8.0)
         }
         for r, v in values.items():
             assert v <= math.exp(-2 * r)
@@ -301,29 +307,24 @@ class TestDampedLadder:
 
     def test_off_diagonal_word_has_zero_trace(self):
         tr = StateFunctional.tracial(AlgebraDescriptor(8))
-        assert damped_ladder_magnitude(1, 0, 3.0, 3.0, 8, tr) == 0.0
+        assert damped_ladder_magnitude(1, 0, 3.0, 3.0, tr) == 0.0
 
     def test_spread_state_sees_off_diagonal_word(self):
         vec = np.ones(8) / np.sqrt(8)
         f = StateFunctional.from_vector(vec, AlgebraDescriptor(8))
-        m = damped_ladder_magnitude(1, 0, 2.0, 2.0, 8, f)
+        m = damped_ladder_magnitude(1, 0, 2.0, 2.0, f)
         assert 0.0 < m <= math.exp(-2.0)
 
     def test_empty_word_rejected(self):
         tr = StateFunctional.tracial(AlgebraDescriptor(6))
         with pytest.raises(ValueError):
-            damped_ladder_magnitude(0, 0, 1.0, 1.0, 6, tr)
+            damped_ladder_magnitude(0, 0, 1.0, 1.0, tr)
 
     @pytest.mark.parametrize("k, l", [(-1, 1), (1, -1)])
     def test_negative_power_rejected(self, k, l):
         tr = StateFunctional.tracial(AlgebraDescriptor(6))
         with pytest.raises(ValueError, match="ladder powers must be nonnegative"):
-            damped_ladder_magnitude(k, l, 1.0, 1.0, 6, tr)
-
-    def test_functional_dimension_must_match_cutoff(self):
-        tr = StateFunctional.tracial(AlgebraDescriptor(6))
-        with pytest.raises(ValueError):
-            damped_ladder_magnitude(1, 1, 1.0, 1.0, 10, tr)
+            damped_ladder_magnitude(k, l, 1.0, 1.0, tr)
 
     @pytest.mark.parametrize(
         "blocks, k, l", [((2, 2), 1, 0), ((1, 1, 1, 1), 1, 1)], ids=["blocks", "diagonal"]
@@ -332,7 +333,7 @@ class TestDampedLadder:
         # right size, wrong algebra: the word is not an element of it
         tr = StateFunctional.tracial(AlgebraDescriptor(4, blocks))
         with pytest.raises(ValueError, match="functional belongs to a different algebra"):
-            damped_ladder_magnitude(k, l, 1.0, 1.0, 4, tr)
+            damped_ladder_magnitude(k, l, 1.0, 1.0, tr)
 
 
 class TestTimeGrid:
@@ -545,4 +546,4 @@ class TestNonFiniteInputRejected:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                damped_ladder_magnitude(1, 1, rates["r1"], rates["r2"], 4, tracial)
+                damped_ladder_magnitude(1, 1, rates["r1"], rates["r2"], tracial)

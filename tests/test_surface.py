@@ -1,8 +1,8 @@
 """The documented surface: README examples run, every export resolves with
 its annotations, every name the benchmark traces exists, one module
 decides which algebra an input belongs to, one helper forms the Born
-weights, no module imports scipy, and every default is both taken and
-overridden somewhere."""
+weights, no module imports scipy, every default is both taken and
+overridden somewhere, and every attribute a class stores is read."""
 
 import ast
 import importlib
@@ -269,3 +269,30 @@ def test_no_default_is_overridden_by_every_call():
     # a default that every call overrides is a value no caller takes: the
     # parameter is required
     assert _defaults_where(lambda passed: passed and all(passed)) == []
+
+
+def _attributes(path: Path) -> tuple[set[str], set[str]]:
+    """The names stored as ``self.<name> = ...`` and the names read as
+    ``.<name>`` in one source file."""
+    stored, read = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+        elif isinstance(node.value, ast.Name) and node.value.id == "self":
+            stored.add(node.attr)
+    return stored, read
+
+
+def test_every_stored_attribute_is_read():
+    # a value that a class stores and no module of the package reads is
+    # work done for nobody: drop it, or read it
+    stored, read = {}, set()
+    for path in sorted((ROOT / "src" / "contextqm").glob("*.py")):
+        stored[path.name], names = _attributes(path)
+        read |= names
+    unread = [
+        f"{module}:{name}" for module, names in stored.items() for name in sorted(names - read)
+    ]
+    assert unread == []
